@@ -12,11 +12,13 @@ methods and flags eigenvalues deviating from the references by more than
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .solvers import SolverOptions, newton_noda, power_iteration
 from .spectral_maps import make_problem
+from .structure import _side_of_one
 from .tensor_core import CooTensor
 
 __all__ = [
@@ -73,21 +75,7 @@ BENCH_CASES: tuple[BenchCase, ...] = (
 )
 
 
-def _computed_mark(report) -> str:
-    if report.nu_over_p_exact is not None:
-        from fractions import Fraction
-
-        s = Fraction(report.nu_over_p_exact)
-        return "=" if s == 1 else ("<" if s < 1 else ">")
-    s = report.nu_over_p
-    if abs(s - 1.0) <= 1e-12:
-        return "="
-    return "<" if s < 1.0 else ">"
-
-
 def _run_case(case: BenchCase, method: str, tol: float, max_iter: int) -> dict:
-    import warnings
-
     prob = make_problem(reference_tensor(), case.blocks, case.p)
     opts = SolverOptions(tol=tol, max_iter=max_iter, method=method)
     solver = power_iteration if method == "power" else newton_noda
@@ -96,7 +84,10 @@ def _run_case(case: BenchCase, method: str, tol: float, max_iter: int) -> dict:
         warnings.simplefilter("ignore", RuntimeWarning)
         result = solver(prob, opts=opts)
     wall = time.perf_counter() - t0
-    mark = _computed_mark(result.regime)
+    exact = result.regime.nu_over_p_exact
+    mark = _side_of_one(
+        result.regime.nu_over_p, None if exact is None else Fraction(exact)
+    )
     notes = []
     if abs(result.lambda_star - case.lambda_ref) > LAMBDA_TOL:
         notes.append(
@@ -133,24 +124,17 @@ def run_benchmark(
     methods: tuple[str, ...] = ("lsnnm", "power"),
     tol: float = 1e-12,
     max_iter: int = 500,
-    parallel: bool = True,
 ) -> list[dict]:
-    """Solve all nine configurations with each method.
+    """Solve all nine configurations with each method, one after another.
 
-    Cases are independent, so they fan out over a thread pool; results come
-    back in the fixed (case, method) order regardless of scheduling, and
-    each solve is deterministic, so repeated runs produce identical rows
-    (wall time aside).
+    Rows come in the fixed (case, method) order, and each solve is
+    deterministic, so repeated runs produce identical rows (wall time aside).
     """
-    jobs = [(case, method) for case in BENCH_CASES for method in methods]
-    if parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            futures = [
-                pool.submit(_run_case, case, method, tol, max_iter)
-                for case, method in jobs
-            ]
-            return [f.result() for f in futures]
-    return [_run_case(case, method, tol, max_iter) for case, method in jobs]
+    return [
+        _run_case(case, method, tol, max_iter)
+        for case in BENCH_CASES
+        for method in methods
+    ]
 
 
 def format_table(results: list[dict]) -> str:

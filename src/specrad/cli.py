@@ -88,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--json", dest="json_path", help="write case results here")
     bp.add_argument("--tol", type=float, default=1e-12)
     bp.add_argument("--max-iter", type=int, default=500)
-    bp.add_argument(
-        "--serial", action="store_true", help="run cases sequentially"
-    )
 
     rp = sub.add_parser("random", help="generate a reproducible random tensor")
     rp.add_argument("--dims", required=True, help='dimensions, e.g. "3,3,3"')
@@ -227,9 +224,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    results = run_benchmark(
-        tol=args.tol, max_iter=args.max_iter, parallel=not args.serial
-    )
+    results = run_benchmark(tol=args.tol, max_iter=args.max_iter)
     print(format_table(results))
     if args.json_path:
         _write_json({"schema_version": SCHEMA_VERSION, "cases": results}, args.json_path)

@@ -66,7 +66,8 @@ class OverflowGuard(SpecradError):
 # --- dense linear-algebra kernels ---------------------------------------------
 
 class SingularMatrix(SpecradError):
-    """Gaussian elimination met a pivot too small to trust."""
+    """A linear solve met an exactly singular matrix or gave a non-finite
+    solution."""
 
 
 class NoConvergence(SpecradError):

@@ -1,8 +1,9 @@
 """Small dense linear-algebra kernels used by the solvers and structure checks.
 
-Everything here targets the modest problem sizes this package works at
-(bordered Newton systems of a few hundred rows, homogeneity matrices with a
-handful of blocks), so clarity wins over blocking or vectorized pivot tricks.
+Linear solves go straight to LAPACK through numpy.  The Perron and
+strong-component kernels are kept here because numpy has no equivalent:
+the first needs a strictly positive eigenvector of a possibly cyclic
+nonnegative matrix, the second a digraph's component labels.
 """
 from __future__ import annotations
 
@@ -13,44 +14,14 @@ from .errors import NoConvergence, SingularMatrix
 __all__ = ["lu_solve", "dominant_eigpair", "strong_components"]
 
 
-def _lu_factor(A: np.ndarray):
-    """LU factorization with partial pivoting, L and U packed in one array."""
-    n = A.shape[0]
-    LU = A.astype(np.float64, copy=True)
-    piv = np.arange(n)
-    tol = 1e-14 * np.abs(A).max() if A.size else 0.0
-    for k in range(n):
-        j = k + int(np.argmax(np.abs(LU[k:, k])))
-        if np.abs(LU[j, k]) <= tol:
-            raise SingularMatrix(
-                f"pivot {LU[j, k]!r} in column {k} below threshold {tol!r}"
-            )
-        if j != k:
-            LU[[k, j]] = LU[[j, k]]
-            piv[[k, j]] = piv[[j, k]]
-        LU[k + 1:, k] /= LU[k, k]
-        LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
-    return LU, piv
-
-
-def _lu_apply(LU: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = LU.shape[0]
-    y = np.asarray(b, dtype=np.float64)[piv].copy()
-    for k in range(n - 1):
-        y[k + 1:] -= LU[k + 1:, k] * y[k]
-    for k in range(n - 1, -1, -1):
-        y[k] /= LU[k, k]
-        y[:k] -= LU[:k, k] * y[k]
-    return y
-
-
 def lu_solve(A, rhs) -> np.ndarray:
-    """Solve ``A x = rhs`` by LU with partial pivoting.
+    """Solve ``A x = rhs`` with LAPACK's LU with partial pivoting (``gesv``).
 
-    One step of iterative refinement is applied, which in practice pushes the
-    residual of these small systems to a few ulps.  Raises
-    :class:`~specrad.errors.SingularMatrix` when a pivot falls below
-    ``1e-14 * max|A|``.
+    Raises :class:`ValueError` when ``A`` is not square or ``rhs`` has the
+    wrong length, and :class:`~specrad.errors.SingularMatrix` when LAPACK
+    meets an exactly zero pivot or the solution is not finite.  No relative
+    pivot threshold is applied, so a nonsingular system whose rows differ
+    widely in scale is solved rather than rejected.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -58,9 +29,12 @@ def lu_solve(A, rhs) -> np.ndarray:
     b = np.asarray(rhs, dtype=np.float64).ravel()
     if b.size != A.shape[0]:
         raise ValueError(f"rhs of length {b.size} incompatible with {A.shape}")
-    LU, piv = _lu_factor(A)
-    x = _lu_apply(LU, piv, b)
-    x = x + _lu_apply(LU, piv, b - A @ x)
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as e:
+        raise SingularMatrix(str(e)) from e
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrix("solution has non-finite entries")
     return x
 
 

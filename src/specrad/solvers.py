@@ -156,11 +156,7 @@ class SolveResult:
 def certified_residual(prob: SpectralProblem, x: BlockVector) -> float:
     """Relative Collatz-Wielandt bracket gap at the blockwise normalization
     of ``x``; an upper bound on the relative eigenvalue error."""
-    xbar = normalize_blocks(prob, x)
-    phi = ratio_map(prob, xbar)
-    hi = float(phi.flat.max())
-    lo = float(phi.flat.min())
-    return (hi - lo) / max(1.0, lo)
+    return _bracket(prob, x)[3]
 
 
 def newton_step(prob: SpectralProblem, x: BlockVector, lam: float):
@@ -240,12 +236,18 @@ def _warn_unsupported(report: AssumptionReport) -> None:
         )
 
 
-def _bracket(prob: SpectralProblem, x: BlockVector):
-    xbar = normalize_blocks(prob, x)
-    phi = ratio_map(prob, xbar)
+def _cw_bracket(phi: BlockVector):
+    """``(hi, lo, res)``: the max and min of the ratio vector ``phi`` and
+    their certified gap ``(hi - lo) / max(1, lo)``."""
     hi = float(phi.flat.max())
     lo = float(phi.flat.min())
-    return xbar, hi, lo, (hi - lo) / max(1.0, lo)
+    return hi, lo, (hi - lo) / max(1.0, lo)
+
+
+def _bracket(prob: SpectralProblem, x: BlockVector):
+    """``(xbar, hi, lo, res)`` at the blockwise normalization ``xbar`` of ``x``."""
+    xbar = normalize_blocks(prob, x)
+    return (xbar, *_cw_bracket(ratio_map(prob, xbar)))
 
 
 def newton_noda(
@@ -318,10 +320,7 @@ def power_iteration(
     k = 0
     converged = False
     while True:
-        phi = ratio_map(prob, x)
-        hi = float(phi.flat.max())
-        lo = float(phi.flat.min())
-        res = (hi - lo) / max(1.0, lo)
+        hi, lo, res = _cw_bracket(ratio_map(prob, x))
         h_norm = float(np.abs(eigen_system(prob, x, hi)).max())
         trace.append(IterRecord(k, hi, 0.0, 1.0, 0, res, lo, h_norm))
         if res <= opts.tol:

@@ -85,21 +85,27 @@ def structure_matrix(prob: SpectralProblem) -> np.ndarray:
     return gradient_map_jacobian(prob, prob.ones())
 
 
+def _strictly_nonneg(M: np.ndarray) -> bool:
+    return bool(np.all((M > 0).any(axis=1)))
+
+
+def _weakly_irreducible(M: np.ndarray) -> bool:
+    if M.shape[0] == 1:
+        return bool(M[0, 0] > 0)
+    count, _ = strong_components(M)
+    return count == 1
+
+
 def is_strictly_nonneg(prob: SpectralProblem) -> bool:
     """True when every row of the structure matrix has a positive entry,
     i.e. the gradient map is strictly positive on positive vectors."""
-    M = structure_matrix(prob)
-    return bool(np.all((M > 0).any(axis=1)))
+    return _strictly_nonneg(structure_matrix(prob))
 
 
 def is_weakly_irreducible(prob: SpectralProblem) -> bool:
     """True when the sparsity digraph of the structure matrix is strongly
     connected (single vertex: true iff it carries a self-loop)."""
-    M = structure_matrix(prob)
-    if M.shape[0] == 1:
-        return bool(M[0, 0] > 0)
-    count, _ = strong_components(M)
-    return count == 1
+    return _weakly_irreducible(structure_matrix(prob))
 
 
 def _exact_nu_over_p(prob: SpectralProblem) -> Fraction | None:
@@ -111,6 +117,16 @@ def _exact_nu_over_p(prob: SpectralProblem) -> Fraction | None:
     )
 
 
+def _side_of_one(s_float: float, s_exact: Fraction | None) -> str:
+    """``"<"``, ``"="`` or ``">"``: where ``sum(nu_i/p_i)`` sits relative to 1,
+    decided exactly when ``s_exact`` is given, else within ``CRITICAL_TOL``."""
+    if s_exact is not None:
+        return "=" if s_exact == 1 else ("<" if s_exact < 1 else ">")
+    if abs(s_float - 1.0) <= CRITICAL_TOL:
+        return "="
+    return "<" if s_float < 1.0 else ">"
+
+
 def classify_regime(prob: SpectralProblem) -> AssumptionReport:
     """Run both structural checks and classify the homogeneity regime.
 
@@ -120,22 +136,11 @@ def classify_regime(prob: SpectralProblem) -> AssumptionReport:
     which must sit on the same side of 1.
     """
     M = structure_matrix(prob)
-    strict = bool(np.all((M > 0).any(axis=1)))
-    if M.shape[0] == 1:
-        weak = bool(M[0, 0] > 0)
-    else:
-        count, _ = strong_components(M)
-        weak = count == 1
+    strict = _strictly_nonneg(M)
+    weak = _weakly_irreducible(M)
     s_float = prob.nu_over_p
     s_exact = _exact_nu_over_p(prob)
-    if s_exact is not None:
-        is_one = s_exact == 1
-        is_sub = s_exact < 1
-        exact_str = str(s_exact)
-    else:
-        is_one = abs(s_float - 1.0) <= CRITICAL_TOL
-        is_sub = (not is_one) and s_float < 1.0
-        exact_str = None
+    side = _side_of_one(s_float, s_exact)
 
     rho = homogeneity_data(prob).rho
     if abs(rho - 1.0) > 1e-9 and abs(s_float - 1.0) > 1e-9:
@@ -147,11 +152,11 @@ def classify_regime(prob: SpectralProblem) -> AssumptionReport:
                 stacklevel=2,
             )
 
-    if weak and is_one:
+    if weak and side == "=":
         regime = Regime.WEAKLY_IRR_CRITICAL
-    elif weak and is_sub:
+    elif weak and side == "<":
         regime = Regime.BOTH_VALID
-    elif strict and is_sub:
+    elif strict and side == "<":
         regime = Regime.STRICT_SUBCRITICAL
     else:
         regime = Regime.UNSUPPORTED
@@ -163,5 +168,5 @@ def classify_regime(prob: SpectralProblem) -> AssumptionReport:
         regime=regime,
         M_nnz=int(np.count_nonzero(M)),
         rho_A=rho,
-        nu_over_p_exact=exact_str,
+        nu_over_p_exact=None if s_exact is None else str(s_exact),
     )

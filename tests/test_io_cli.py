@@ -439,9 +439,3 @@ class TestCliBench:
         assert all(
             abs(c["lambda_star"] - c["lambda_ref"]) <= 5e-3 for c in cases
         )
-
-    def test_serial_matches_parallel(self, capsys):
-        rc = run_cli(["bench", "--serial"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "lambda*" in captured.out

@@ -20,6 +20,15 @@ class TestLuSolve:
         with pytest.raises(SingularMatrix):
             sr.lu_solve(np.zeros((3, 3)), np.ones(3))
 
+    def test_tiny_but_nonzero_pivot_is_solved(self):
+        # a relative pivot threshold would reject this nonsingular system
+        x = sr.lu_solve([[1e-15, 0.0], [0.0, 1.0]], [1.0, 1.0])
+        assert_allclose(x, [1e15, 1.0])
+
+    def test_overflowing_solution_raises(self):
+        with pytest.raises(SingularMatrix):
+            sr.lu_solve([[1e-300, 0.0], [0.0, 1.0]], [1e300, 1.0])
+
     def test_pivoting_handles_zero_leading_entry(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert_allclose(sr.lu_solve(A, [2.0, 3.0]), [3.0, 2.0], atol=1e-15)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import specrad as sr
@@ -309,6 +311,27 @@ class TestNewtonNoda:
         sh = np.linalg.svd(DH, compute_uv=False)
         assert sj[-1] / sj[0] < 1e-12
         assert sh[-1] / sh[0] > 1e-3
+
+
+class TestScaleEquivariance:
+    """lambda(c T) = c lambda(T) for c >= 1, however large the entries get.
+
+    Below 1 the certificate ``(hi - lo) / max(1, lo)`` is an absolute gap,
+    so the stopping rule itself is not scale-invariant there."""
+
+    @pytest.mark.parametrize(
+        "case", sr.BENCH_CASES, ids=lambda c: f"{c.partition_spec}|p={','.join(c.p)}"
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(log10_c=st.floats(min_value=0.0, max_value=200.0))
+    def test_newton_lambda_scales_with_tensor(self, case, log10_c):
+        c = 10.0**log10_c
+        t = sr.reference_tensor()
+        scaled = sr.CooTensor(t.dims, t.indices, c * t.values)
+        base = solve_quiet(sr.make_problem(t, case.blocks, case.p))
+        res = solve_quiet(sr.make_problem(scaled, case.blocks, case.p))
+        assert base.converged and res.converged
+        assert abs(res.lambda_star / c - base.lambda_star) <= 1e-10 * base.lambda_star
 
 
 class TestPowerIteration:

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import fields
 
 from . import __version__
 from .bench import format_table, run_benchmark
@@ -25,7 +26,7 @@ from .errors import (
     SingularNewtonSystem,
     SpecradError,
 )
-from .solvers import SolveResult, SolverOptions, solve
+from .solvers import IterRecord, SolveResult, SolverOptions, solve
 from .spectral_maps import SpectralProblem, make_problem
 from .structure import classify_regime
 from .tensor_io import (
@@ -36,9 +37,13 @@ from .tensor_io import (
     write_tensor,
 )
 
-TRACE_HEADER = "k,lambda,delta,alpha,backtracks,res,cw_lower"
+_RENAMED = {"lambda_k": "lambda", "delta_k": "delta", "alpha_k": "alpha"}
+#: (output name, IterRecord field) for every field; shared by the JSON and CSV traces.
+_TRACE_COLUMNS = tuple((_RENAMED.get(f.name, f.name), f.name) for f in fields(IterRecord))
 
-SCHEMA_VERSION = 1
+TRACE_HEADER = ",".join(name for name, _ in _TRACE_COLUMNS)
+
+SCHEMA_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,17 +132,7 @@ def _result_payload(prob: SpectralProblem, result: SolveResult) -> dict:
         },
         "regime": result.regime.to_dict(),
         "trace": [
-            {
-                "k": rec.k,
-                "lambda": rec.lambda_k,
-                "delta": rec.delta_k,
-                "alpha": rec.alpha_k,
-                "backtracks": rec.backtracks,
-                "res": rec.res,
-                "cw_lower": rec.cw_lower,
-                "h_norm": rec.h_norm,
-            }
-            for rec in result.trace
+            {name: getattr(rec, f) for name, f in _TRACE_COLUMNS} for rec in result.trace
         ],
     }
 
@@ -154,10 +149,7 @@ def _write_json(payload: dict, path: str | None) -> None:
 def _write_trace(result: SolveResult, path: str) -> None:
     lines = [TRACE_HEADER]
     for rec in result.trace:
-        lines.append(
-            f"{rec.k},{rec.lambda_k!r},{rec.delta_k!r},{rec.alpha_k!r},"
-            f"{rec.backtracks},{rec.res!r},{rec.cw_lower!r}"
-        )
+        lines.append(",".join(repr(getattr(rec, f)) for _, f in _TRACE_COLUMNS))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

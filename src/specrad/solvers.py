@@ -15,17 +15,22 @@ Two methods share the same stopping rule and trace format:
     at best, but simple and derivative-free; used as an independent
     cross-check of the Newton solver.
 
+Each iterate evaluates its ratios once and derives every other quantity from
+them; Newton's line search hands on the ratios at its accepted point, and only
+the certificate evaluates them again, at the blockwise normalization.
+
 Convergence is certified through Collatz-Wielandt bounds: with the iterate
 normalized blockwise, the min and max componentwise ratios bracket the
 spectral radius, so their relative gap
 
-    res = (max_ratio - min_ratio) / max(1, min_ratio)
+    res = (max_ratio - min_ratio) / min_ratio
 
-bounds the eigenvalue error.  The reported eigenvalue is the bracket
-midpoint.
+bounds the relative eigenvalue error at every scale of the tensor.  The
+reported eigenvalue is the bracket midpoint.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,16 +46,16 @@ from .linalg import lu_solve
 from .spectral_maps import (
     BlockVector,
     SpectralProblem,
-    eigen_system,
-    newton_matrix,
-    norm_product_grad,
+    _eigen_system,
+    _newton_matrix,
+    _power_update,
+    _ratio,
     normalize_blocks,
-    power_map,
     ratio_map,
     retract,
 )
 from .structure import AssumptionReport, Regime, classify_regime
-from .tensor_core import conform
+from .tensor_core import conform, gradient_map
 
 __all__ = [
     "SolverOptions",
@@ -166,14 +171,22 @@ def newton_step(prob: SpectralProblem, x: BlockVector, lam: float):
     normalization surface when ``norm_product(x) == 1``) and the eigenvalue
     correction, which is nonpositive when ``lam`` is the max ratio at ``x``.
     """
-    DH = newton_matrix(prob, x, lam)
-    H = eigen_system(prob, x, lam)
+    phi = ratio_map(prob, x).flat
+    d, delta, _ = _newton_step(prob, x, phi, lam, _eigen_system(prob, x, phi, lam))
+    return BlockVector.from_flat(d, x.lengths), delta
+
+
+def _newton_step(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float, H: np.ndarray):
+    """``(d, delta, tangency)`` from the ratios ``phi`` and root function ``H``
+    at ``(x, lam)``; the tangency reads the border row, the constraint gradient."""
+    DH = _newton_matrix(prob, x, phi, lam)
     try:
         sol = lu_solve(DH, -H)
     except SingularMatrix as e:
         raise SingularNewtonSystem(f"bordered Newton matrix is singular: {e}") from e
-    d = BlockVector.from_flat(sol[:-1], x.lengths)
-    return d, float(sol[-1])
+    d = sol[:-1]
+    tangency = abs(float(DH[-1, :-1] @ d)) / (1.0 + float(np.abs(d).max()))
+    return d, float(sol[-1]), tangency
 
 
 def line_search(
@@ -192,15 +205,22 @@ def line_search(
     ``1e-12 * |x|_inf`` of the boundary.  Returns
     ``(alpha, x_next, backtracks)``.
     """
+    alpha, x_next, _, backtracks = _line_search(prob, x, lam, d.flat, delta, opts)
+    return alpha, x_next, backtracks
+
+
+def _line_search(prob, x, lam, d, delta, opts):
+    """:func:`line_search` on a flat direction ``d``; also returns the flat
+    ratios at the accepted point, ``(alpha, x_next, phi_next, backtracks)``."""
     floor = 1e-12 * float(np.abs(x.flat).max())
     for j in range(opts.max_backtracks + 1):
         alpha = opts.backtrack_rho ** j
-        trial = x.flat + alpha * d.flat
+        trial = x.flat + alpha * d
         if not np.all(trial > 0.0):
             continue
         x_next = retract(prob, BlockVector.from_flat(trial, x.lengths))
-        phi_next = float(ratio_map(prob, x_next).flat.max())
-        if phi_next <= lam + opts.armijo_c * alpha * delta:
+        phi_next = _ratio(prob, x_next, gradient_map(prob, x_next).flat)
+        if phi_next.max() <= lam + opts.armijo_c * alpha * delta:
             if np.any(trial < floor):
                 warnings.warn(
                     "accepted iterate has a component within 1e-12*|x|_inf "
@@ -208,7 +228,7 @@ def line_search(
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            return alpha, x_next, j
+            return alpha, x_next, phi_next, j
     raise LineSearchFailed(
         f"no acceptable step after {opts.max_backtracks} backtracks"
     )
@@ -236,18 +256,18 @@ def _warn_unsupported(report: AssumptionReport) -> None:
         )
 
 
-def _cw_bracket(phi: BlockVector):
-    """``(hi, lo, res)``: the max and min of the ratio vector ``phi`` and
-    their certified gap ``(hi - lo) / max(1, lo)``."""
-    hi = float(phi.flat.max())
-    lo = float(phi.flat.min())
-    return hi, lo, (hi - lo) / max(1.0, lo)
+def _cw_bracket(phi: np.ndarray):
+    """``(hi, lo, res)``: the max and min of the flat ratios ``phi`` and
+    their certified relative gap ``(hi - lo) / lo``, infinite unless ``lo > 0``."""
+    hi = float(phi.max())
+    lo = float(phi.min())
+    return hi, lo, (hi - lo) / lo if lo > 0.0 else math.inf
 
 
 def _bracket(prob: SpectralProblem, x: BlockVector):
     """``(xbar, hi, lo, res)`` at the blockwise normalization ``xbar`` of ``x``."""
     xbar = normalize_blocks(prob, x)
-    return (xbar, *_cw_bracket(ratio_map(prob, xbar)))
+    return (xbar, *_cw_bracket(ratio_map(prob, xbar).flat))
 
 
 def newton_noda(
@@ -266,30 +286,23 @@ def newton_noda(
     report = classify_regime(prob)
     _warn_unsupported(report)
     x = retract(prob, _start_point(prob, x0))
+    phi = ratio_map(prob, x).flat
     trace: list[IterRecord] = []
     k = 0
-    converged = False
     while True:
-        lam = float(ratio_map(prob, x).flat.max())
+        lam = float(phi.max())
         xbar, hi, lo, res = _bracket(prob, x)
-        h_norm = float(np.abs(eigen_system(prob, x, lam)).max())
-        if res <= opts.tol:
-            trace.append(IterRecord(k, lam, 0.0, 1.0, 0, res, lo, h_norm))
-            converged = True
-            break
-        if k >= opts.max_iter:
+        H = _eigen_system(prob, x, phi, lam)
+        h_norm = float(np.abs(H).max())
+        converged = res <= opts.tol
+        if converged or k >= opts.max_iter:
             trace.append(IterRecord(k, lam, 0.0, 1.0, 0, res, lo, h_norm))
             break
-        d, delta = newton_step(prob, x, lam)
-        alpha, x_next, backtracks = line_search(prob, x, lam, d, delta, opts)
-        gc = norm_product_grad(prob, x)
-        tangency = abs(float(gc.flat @ d.flat)) / (
-            1.0 + float(np.abs(d.flat).max())
-        )
+        d, delta, tangency = _newton_step(prob, x, phi, lam, H)
+        alpha, x, phi, backtracks = _line_search(prob, x, lam, d, delta, opts)
         trace.append(
             IterRecord(k, lam, delta, alpha, backtracks, res, lo, h_norm, tangency)
         )
-        x = x_next
         k += 1
     return SolveResult(
         lambda_star=0.5 * (hi + lo),
@@ -318,17 +331,16 @@ def power_iteration(
     x = normalize_blocks(prob, _start_point(prob, x0))
     trace: list[IterRecord] = []
     k = 0
-    converged = False
     while True:
-        hi, lo, res = _cw_bracket(ratio_map(prob, x))
-        h_norm = float(np.abs(eigen_system(prob, x, hi)).max())
+        G = gradient_map(prob, x).flat
+        phi = _ratio(prob, x, G)
+        hi, lo, res = _cw_bracket(phi)
+        h_norm = float(np.abs(_eigen_system(prob, x, phi, hi)).max())
         trace.append(IterRecord(k, hi, 0.0, 1.0, 0, res, lo, h_norm))
-        if res <= opts.tol:
-            converged = True
+        converged = res <= opts.tol
+        if converged or k >= opts.max_iter:
             break
-        if k >= opts.max_iter:
-            break
-        x = normalize_blocks(prob, power_map(prob, x))
+        x = normalize_blocks(prob, BlockVector.from_flat(_power_update(prob, G), x.lengths))
         k += 1
     return SolveResult(
         lambda_star=0.5 * (hi + lo),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,13 @@ class SpectralProblem:
         """Hoelder conjugates ``p_i / (p_i - 1)``."""
         return tuple(pi / (pi - 1.0) for pi in self.p)
 
+    @cached_property
+    def _p_flat(self) -> np.ndarray:
+        """Per-coordinate exponents: ``p_i`` repeated over block ``i``."""
+        pe = np.repeat(self.p, self.partition.block_dims)
+        pe.setflags(write=False)
+        return pe
+
     @property
     def nu_over_p(self) -> float:
         return float(sum(nu / pi for nu, pi in zip(self.partition.nu, self.p)))
@@ -155,15 +163,17 @@ def require_positive(x: BlockVector) -> None:
 # ratio map and friends
 # --------------------------------------------------------------------------
 
+def _ratio(prob: SpectralProblem, x: BlockVector, G: np.ndarray) -> np.ndarray:
+    """Flat ratios ``G / x**(p - 1)`` from the flat gradient map ``G`` at ``x > 0``."""
+    require_positive(x)
+    return G / x.flat ** (prob._p_flat - 1.0)
+
+
 def ratio_map(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Componentwise Collatz-Wielandt ratios: block ``i`` is
     ``gradient_map(x)_i / x_i**(p_i - 1)``.  Requires ``x > 0``."""
     conform(prob.partition, x)
-    require_positive(x)
-    G = gradient_map(prob, x)
-    return BlockVector(
-        [G.block(i) / x.block(i) ** (prob.p[i] - 1.0) for i in range(prob.d)]
-    )
+    return BlockVector.from_flat(_ratio(prob, x, gradient_map(prob, x).flat), x.lengths)
 
 
 def ratio_max(prob: SpectralProblem, x: BlockVector) -> float:
@@ -184,19 +194,10 @@ def ratio_jacobian(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
     """
     conform(prob.partition, x)
     require_positive(x)
-    G = gradient_map(prob, x)
-    DG = gradient_map_jacobian(prob, x)
-    rowscale = np.concatenate(
-        [x.block(i) ** (1.0 - prob.p[i]) for i in range(prob.d)]
-    )
-    DPhi = DG * rowscale[:, None]
-    diag_term = np.concatenate(
-        [
-            (prob.p[i] - 1.0) * G.block(i) * x.block(i) ** (-prob.p[i])
-            for i in range(prob.d)
-        ]
-    )
-    DPhi[np.diag_indices_from(DPhi)] -= diag_term
+    pe = prob._p_flat
+    G = gradient_map(prob, x).flat
+    DPhi = gradient_map_jacobian(prob, x) * (x.flat ** (1.0 - pe))[:, None]
+    DPhi[np.diag_indices_from(DPhi)] -= (pe - 1.0) * G * x.flat ** (-pe)
     return DPhi
 
 
@@ -205,12 +206,14 @@ def ratio_jacobian(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _block_norms(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
-    return np.array(
-        [
-            (np.abs(x.block(i)) ** prob.p[i]).sum() ** (1.0 / prob.p[i])
-            for i in range(prob.d)
-        ]
-    )
+    sums = np.add.reduceat(np.abs(x.flat) ** prob._p_flat, prob.partition.offsets)
+    return sums ** (1.0 / np.asarray(prob.p))
+
+
+def _norm_product_grad(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
+    norms = _block_norms(prob, x)
+    pe = prob._p_flat
+    return float(norms.prod()) * np.repeat(norms, x.lengths) ** (-pe) * x.flat ** (pe - 1.0)
 
 
 def norm_product(prob: SpectralProblem, x: BlockVector) -> float:
@@ -223,14 +226,7 @@ def norm_product_grad(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Gradient of :func:`norm_product` at ``x > 0``."""
     conform(prob.partition, x)
     require_positive(x)
-    norms = _block_norms(prob, x)
-    c = float(norms.prod())
-    return BlockVector(
-        [
-            c * norms[i] ** (-prob.p[i]) * x.block(i) ** (prob.p[i] - 1.0)
-            for i in range(prob.d)
-        ]
-    )
+    return BlockVector.from_flat(_norm_product_grad(prob, x), x.lengths)
 
 
 def normalize_blocks(prob: SpectralProblem, x: BlockVector) -> BlockVector:
@@ -239,7 +235,7 @@ def normalize_blocks(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     norms = _block_norms(prob, x)
     if np.any(norms == 0.0):
         raise ZeroNormBlock("cannot normalize a block with zero norm")
-    return BlockVector([x.block(i) / norms[i] for i in range(prob.d)])
+    return BlockVector.from_flat(x.flat / np.repeat(norms, x.lengths), x.lengths)
 
 
 def retract(prob: SpectralProblem, x: BlockVector) -> BlockVector:
@@ -255,55 +251,68 @@ def retract(prob: SpectralProblem, x: BlockVector) -> BlockVector:
 # bordered Newton system
 # --------------------------------------------------------------------------
 
+# The private kernels take the flat ratios ``phi`` already evaluated at ``x``.
+
+def _eigen_system(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float) -> np.ndarray:
+    return np.append(lam * x.flat - phi * x.flat, _block_norms(prob, x).prod() - 1.0)
+
+
+def _residual_jacobian(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float) -> np.ndarray:
+    pe = prob._p_flat
+    J = gradient_map_jacobian(prob, x)
+    J *= -(x.flat ** (2.0 - pe))[:, None]
+    J[np.diag_indices_from(J)] += lam + (pe - 2.0) * phi
+    return J
+
+
+def _newton_matrix(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float) -> np.ndarray:
+    J = _residual_jacobian(prob, x, phi, lam)
+    n = J.shape[0]
+    DH = np.zeros((n + 1, n + 1))  # after J, so the Jacobian's scratch is freed
+    DH[:n, :n] = J
+    DH[:n, n] = x.flat
+    DH[n, :n] = _norm_product_grad(prob, x)
+    return DH
+
+
 def eigen_residual(prob: SpectralProblem, x: BlockVector, lam: float) -> BlockVector:
     """Residual ``lam * x - ratio_map(x) * x`` (zero exactly at eigenpairs)."""
-    phi = ratio_map(prob, x)
-    return BlockVector.from_flat(lam * x.flat - phi.flat * x.flat, x.lengths)
+    return BlockVector.from_flat(eigen_system(prob, x, lam)[:-1], x.lengths)
 
 
 def eigen_system(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarray:
     """Stacked root function: the eigen residual over the constraint defect."""
-    r = eigen_residual(prob, x, lam)
-    return np.concatenate([r.flat, [norm_product(prob, x) - 1.0]])
+    return _eigen_system(prob, x, ratio_map(prob, x).flat, lam)
 
 
 def residual_jacobian(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarray:
     """Jacobian of the eigen residual in ``x`` at fixed ``lam``:
-    ``-diag(x) @ ratio_jacobian(x) - diag(ratio_map(x)) + lam * I``."""
-    phi = ratio_map(prob, x)
-    DPhi = ratio_jacobian(prob, x)
-    J = -(x.flat[:, None] * DPhi)
-    J[np.diag_indices_from(J)] += lam - phi.flat
-    return J
+    ``-diag(x**(2-p)) @ gradient_map_jacobian(x) + diag(lam + (p-2) * ratio_map(x))``."""
+    return _residual_jacobian(prob, x, ratio_map(prob, x).flat, lam)
 
 
 def newton_matrix(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarray:
     """Bordered ``(n+1) x (n+1)`` matrix: residual Jacobian, the direction
     ``x`` in the last column, and the constraint gradient in the last row."""
-    J = residual_jacobian(prob, x, lam)
-    gc = norm_product_grad(prob, x)
-    n = J.shape[0]
-    DH = np.zeros((n + 1, n + 1))
-    DH[:n, :n] = J
-    DH[:n, n] = x.flat
-    DH[n, :n] = gc.flat
-    return DH
+    return _newton_matrix(prob, x, ratio_map(prob, x).flat, lam)
 
 
 # --------------------------------------------------------------------------
 # power-iteration update map and homogeneity weights
 # --------------------------------------------------------------------------
 
+def _power_update(prob: SpectralProblem, G: np.ndarray) -> np.ndarray:
+    """Flat power-map values ``G**(p' - 1)`` from the flat gradient map ``G``."""
+    pe = prob._p_flat
+    return G ** (pe / (pe - 1.0) - 1.0)
+
+
 def power_map(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Blockwise update map of the power iteration:
     ``gradient_map(x)_i ** (p'_i - 1)`` with ``p'`` the Hoelder conjugate.
     Defined for ``x >= 0``."""
     conform(prob.partition, x)
-    G = gradient_map(prob, x)
-    pc = prob.p_conj
-    return BlockVector(
-        [G.block(i) ** (pc[i] - 1.0) for i in range(prob.d)]
-    )
+    return BlockVector.from_flat(_power_update(prob, gradient_map(prob, x).flat), x.lengths)
 
 
 @dataclass(frozen=True)
@@ -355,25 +364,20 @@ def cw_bounds(prob: SpectralProblem, x: BlockVector) -> CwReport:
     blockwise normalization of ``x > 0``."""
     require_positive(x)
     xbar = normalize_blocks(prob, x)
-    phi = ratio_map(prob, xbar)
-    lower = float(phi.flat.min())
-    upper = float(phi.flat.max())
+    G = gradient_map(prob, xbar).flat
+    phi = _ratio(prob, xbar, G)
+    lower = float(phi.min())
+    upper = float(phi.max())
     hd = homogeneity_data(prob)
     w = (hd.gamma - 1.0) * hd.b
-    F = power_map(prob, xbar)
-    log_lo = 0.0
-    log_hi = 0.0
-    for i in range(prob.d):
-        xi = xbar.block(i)
-        ratios = F.block(i) / xi
-        keep = xi > POSITIVITY_FLOOR
-        log_lo += w[i] * math.log(ratios[keep].min())
-        log_hi += w[i] * math.log(ratios.max())
+    ratios = _power_update(prob, G) / xbar.flat
+    offs = prob.partition.offsets
+    kept = np.where(xbar.flat > POSITIVITY_FLOOR, ratios, np.inf)
     return CwReport(
         lower=lower,
         upper=upper,
-        weighted_lower=math.exp(log_lo),
-        weighted_upper=math.exp(log_hi),
+        weighted_lower=math.exp(float(w @ np.log(np.minimum.reduceat(kept, offs)))),
+        weighted_upper=math.exp(float(w @ np.log(np.maximum.reduceat(ratios, offs)))),
     )
 
 
@@ -382,12 +386,12 @@ def cw_bounds(prob: SpectralProblem, x: BlockVector) -> CwReport:
 # --------------------------------------------------------------------------
 
 def _guard_exponents(prob: SpectralProblem, y: BlockVector, guard: float) -> None:
-    for i in range(prob.d):
-        worst = np.abs(y.block(i)).max(initial=0.0) * max(1.0, prob.p[i])
-        if worst > guard:
-            raise OverflowGuard(
-                f"log-domain argument would exponentiate {worst:g} > {guard:g}"
-            )
+    conform(prob.partition, y)
+    worst = float((np.abs(y.flat) * np.maximum(1.0, prob._p_flat)).max())
+    if worst > guard:
+        raise OverflowGuard(
+            f"log-domain argument would exponentiate {worst:g} > {guard:g}"
+        )
 
 
 def log_ratio_map(prob: SpectralProblem, y: BlockVector, guard: float = 300.0) -> BlockVector:
@@ -396,23 +400,16 @@ def log_ratio_map(prob: SpectralProblem, y: BlockVector, guard: float = 300.0) -
     Every component is convex in ``y``; this is what the midpoint-convexity
     property tests probe.
     """
-    conform(prob.partition, y)
     _guard_exponents(prob, y, guard)
     x = BlockVector.from_flat(np.exp(y.flat), y.lengths)
-    G = gradient_map(prob, x)
+    G = gradient_map(prob, x).flat
     with np.errstate(divide="ignore"):
-        return BlockVector(
-            [
-                np.log(G.block(i)) - (prob.p[i] - 1.0) * y.block(i)
-                for i in range(prob.d)
-            ]
-        )
+        return BlockVector.from_flat(np.log(G) - (prob._p_flat - 1.0) * y.flat, y.lengths)
 
 
 def log_ratio_jacobian(prob: SpectralProblem, y: BlockVector, guard: float = 300.0) -> np.ndarray:
     """Exact Jacobian of :func:`log_ratio_map`, assembled from the ratio-map
     Jacobian by the chain rule."""
-    conform(prob.partition, y)
     _guard_exponents(prob, y, guard)
     x = BlockVector.from_flat(np.exp(y.flat), y.lengths)
     phi = ratio_map(prob, x)
@@ -422,7 +419,6 @@ def log_ratio_jacobian(prob: SpectralProblem, y: BlockVector, guard: float = 300
 
 def log_norm_product(prob: SpectralProblem, y: BlockVector, guard: float = 300.0) -> float:
     """``log(norm_product(exp(y)))``, evaluated stably via shifted log-sum-exp."""
-    conform(prob.partition, y)
     _guard_exponents(prob, y, guard)
     total = 0.0
     for i in range(prob.d):
@@ -438,7 +434,6 @@ def log_norm_product_grad(prob: SpectralProblem, y: BlockVector, guard: float = 
     Its inner product with the block-constant vector ``1/p_i`` is identically
     ``sum(1/p_i)``, one of the exactness checks on the constraint geometry.
     """
-    conform(prob.partition, y)
     _guard_exponents(prob, y, guard)
     out = []
     for i in range(prob.d):

@@ -208,7 +208,7 @@ class TestCliSolve:
         assert len(payload["trace"]) == payload["iterations"] + 1
         assert set(payload["trace"][0]) == {
             "k", "lambda", "delta", "alpha", "backtracks", "res", "cw_lower",
-            "h_norm",
+            "h_norm", "tangency",
         }
 
     def test_json_and_trace_files(self, ref_file, tmp_path, capsys):
@@ -228,7 +228,7 @@ class TestCliSolve:
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == len(payload["trace"])
         for row, rec in zip(rows, payload["trace"]):
-            assert len(row) == 7
+            assert len(row) == 9
             assert int(row[0]) == rec["k"]
             assert float(row[1]) == rec["lambda"]
             assert float(row[5]) == rec["res"]

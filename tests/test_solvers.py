@@ -1,13 +1,15 @@
 """Newton step, line search, full solves, traces, and cross-method checks."""
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import specrad as sr
+import specrad.tensor_core
 from specrad.errors import (
     LineSearchFailed,
     NonPositiveInput,
@@ -23,6 +25,10 @@ def solve_quiet(prob, x0=None, opts=None, method="lsnnm"):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return fn(prob, x0, opts)
+
+
+def bench_case_id(case):
+    return f"{case.partition_spec}|p={','.join(case.p)}"
 
 
 def full_positive_matrix_problem(A):
@@ -314,16 +320,11 @@ class TestNewtonNoda:
 
 
 class TestScaleEquivariance:
-    """lambda(c T) = c lambda(T) for c >= 1, however large the entries get.
+    """lambda(c T) = c lambda(T), however large or small the entries get."""
 
-    Below 1 the certificate ``(hi - lo) / max(1, lo)`` is an absolute gap,
-    so the stopping rule itself is not scale-invariant there."""
-
-    @pytest.mark.parametrize(
-        "case", sr.BENCH_CASES, ids=lambda c: f"{c.partition_spec}|p={','.join(c.p)}"
-    )
+    @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(log10_c=st.floats(min_value=0.0, max_value=200.0))
+    @given(log10_c=st.floats(min_value=-200.0, max_value=200.0))
     def test_newton_lambda_scales_with_tensor(self, case, log10_c):
         c = 10.0**log10_c
         t = sr.reference_tensor()
@@ -332,6 +333,59 @@ class TestScaleEquivariance:
         res = solve_quiet(sr.make_problem(scaled, case.blocks, case.p))
         assert base.converged and res.converged
         assert abs(res.lambda_star / c - base.lambda_star) <= 1e-10 * base.lambda_star
+
+
+class TestCertificateBoundsError:
+    """The certified ``res`` of a loose power solve bounds its true relative
+    eigenvalue error, measured against a tight Newton solve, at any scale."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        config=st.sampled_from(
+            [([[0], [1], [2]], ["4", "4", "4"]), ([[0, 1, 2]], ["4"]), ([[0], [1, 2]], ["3", "5"])]
+        ),
+        c=st.sampled_from([1e-6, 1.0, 1e3]),
+        tol=st.sampled_from([1e-3, 1e-6]),
+    )
+    def test_res_bounds_relative_error(self, seed, config, c, tol):
+        t = sr.random_tensor([4, 4, 4], 0.5, seed)
+        prob = sr.make_problem(sr.CooTensor(t.dims, t.indices, c * t.values), *config)
+        assume(sr.classify_regime(prob).regime is not sr.Regime.UNSUPPORTED)
+        exact = solve_quiet(prob)
+        rp = solve_quiet(prob, opts=sr.SolverOptions(tol=tol, method="power"))
+        assert exact.converged
+        assert abs(rp.lambda_star - exact.lambda_star) <= rp.res * exact.lambda_star
+
+
+class TestGradientEvaluations:
+    """Each iterate evaluates its ratios once; Newton evaluates them once more
+    for the certificate, at the blockwise normalization."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = specrad.tensor_core.gradient_map
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "specrad" and getattr(module, "gradient_map", None) is original:
+                monkeypatch.setattr(module, "gradient_map", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
+    def test_newton_at_most_two_per_iterate(self, case, calls):
+        res = solve_quiet(sr.make_problem(sr.reference_tensor(), case.blocks, case.p))
+        assert 0 < len(calls) <= 2 * (res.iterations + 1)
+
+    @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
+    def test_power_one_per_iterate(self, case, calls):
+        prob = sr.make_problem(sr.reference_tensor(), case.blocks, case.p)
+        res = solve_quiet(prob, method="power")
+        assert len(calls) == res.iterations + 1
 
 
 class TestPowerIteration:
@@ -395,7 +449,7 @@ class TestCertifiedResidual:
         phi = sr.ratio_map(prob, xbar)
         hi, lo = float(phi.flat.max()), float(phi.flat.min())
         assert_allclose(
-            sr.certified_residual(prob, x), (hi - lo) / max(1.0, lo), rtol=1e-15
+            sr.certified_residual(prob, x), (hi - lo) / lo, rtol=1e-15
         )
 
     def test_invariant_under_block_scaling(self, nine_problem):

@@ -1,4 +1,4 @@
-"""Small dense linear-algebra kernels used by the solvers and structure checks.
+"""Small dense linear-algebra kernels.
 
 Linear solves go straight to LAPACK through numpy.  The Perron and
 strong-component kernels are kept here because numpy has no equivalent:

@@ -8,6 +8,13 @@ sparsity digraph of the structure matrix is strongly connected) up to the
 critical regime ``sum(nu_i/p_i) <= 1``.  ``classify_regime`` reports which
 assumption holds and which regime applies; solvers warn but do not refuse
 when the combination is unsupported.
+
+Both checks run on the coupling digraph, built straight from the tensor's
+positive entries without forming the dense structure matrix: its arcs are
+that matrix's positive entries, and ``M_nnz`` is the number of distinct arcs
+of the coupling digraph (= ``count_nonzero(structure_matrix)``).  Strong
+connectivity is a forward and a backward breadth-first search from one
+vertex.
 """
 from __future__ import annotations
 
@@ -18,7 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import strong_components
 from .spectral_maps import SpectralProblem, homogeneity_data
 from .tensor_core import gradient_map_jacobian
 
@@ -52,7 +58,9 @@ class AssumptionReport:
     ``nu_over_p_exact`` is the exact rational value of ``sum(nu_i/p_i)`` as a
     string when the exponents were given exactly, else ``None``.  ``rho_A``
     is the Perron root of the homogeneity matrix; its position relative to 1
-    always matches the position of ``nu_over_p`` relative to 1.
+    always matches the position of ``nu_over_p`` relative to 1.  ``M_nnz``
+    is the number of distinct arcs of the coupling digraph
+    (= ``count_nonzero(structure_matrix)``).
     """
 
     strict_nonneg: bool
@@ -85,27 +93,79 @@ def structure_matrix(prob: SpectralProblem) -> np.ndarray:
     return gradient_map_jacobian(prob, prob.ones())
 
 
-def _strictly_nonneg(M: np.ndarray) -> bool:
-    return bool(np.all((M > 0).any(axis=1)))
+def _distinct(sorted_codes: np.ndarray) -> np.ndarray:
+    """Distinct values of a sorted integer array; a neighbour mask, which is
+    much cheaper here than ``np.unique``."""
+    keep = np.empty(sorted_codes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=keep[1:])
+    return sorted_codes[keep]
 
 
-def _weakly_irreducible(M: np.ndarray) -> bool:
-    if M.shape[0] == 1:
-        return bool(M[0, 0] > 0)
-    count, _ = strong_components(M)
-    return count == 1
+def _reaches_all(tails: np.ndarray, heads: np.ndarray, n: int) -> bool:
+    """True when a breadth-first search from vertex 0 along the arcs
+    ``tails[k] -> heads[k]`` (sorted by tail) visits all ``n`` vertices.
+    Each level costs O(arcs leaving its frontier), so a long path is cheap."""
+    first = np.searchsorted(tails, np.arange(n + 1))
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    front = np.zeros(1, dtype=np.int64)
+    count = 1
+    while front.size:
+        lo, deg = first[front], first[front + 1] - first[front]
+        arcs = np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
+        front = heads[arcs]
+        front = _distinct(np.sort(front[~seen[front]]))
+        seen[front] = True
+        count += front.size
+    return count == n
+
+
+def _coupling_digraph(prob: SpectralProblem) -> tuple[bool, bool, int]:
+    """``(strict_nonneg, weakly_irreducible, M_nnz)`` from the sparse
+    coupling digraph, without forming :func:`structure_matrix`.
+
+    Each entry with a positive value gives, for every block ``i`` with
+    leading mode ``s`` and every other mode ``q``, the arc
+    ``offs[i] + e[s] -> offs[mode_block[q]] + e[q]``: exactly the positive
+    entries of the structure matrix.  Arcs are coded ``row * N + col`` and
+    deduplicated by sorting.
+    """
+    part = prob.partition
+    n = part.total_dim
+    idx = prob.tensor.indices[prob.tensor.values > 0.0]
+    offs, mb = part.offsets, part.mode_block
+    codes = [
+        (offs[i] + idx[:, s]) * n + (offs[mb[q]] + idx[:, q])
+        for i, s in enumerate(part.starts)
+        for q in range(part.order)
+        if q != s
+    ]
+    arcs = _distinct(np.sort(np.concatenate(codes))) if codes else np.empty(0, np.int64)
+    tails, heads = np.divmod(arcs, n)
+    strict = _distinct(tails).size == n
+    # Strong connectivity on two or more vertices gives every vertex an
+    # out-arc, and one vertex counts as irreducible only with its self-loop,
+    # so ``strict`` is necessary either way; then G and its transpose must
+    # both be reached from vertex 0.
+    weak = (
+        strict
+        and _reaches_all(tails, heads, n)
+        and _reaches_all(*np.divmod(np.sort(heads * n + tails), n), n)
+    )
+    return strict, weak, int(arcs.size)
 
 
 def is_strictly_nonneg(prob: SpectralProblem) -> bool:
     """True when every row of the structure matrix has a positive entry,
     i.e. the gradient map is strictly positive on positive vectors."""
-    return _strictly_nonneg(structure_matrix(prob))
+    return _coupling_digraph(prob)[0]
 
 
 def is_weakly_irreducible(prob: SpectralProblem) -> bool:
     """True when the sparsity digraph of the structure matrix is strongly
     connected (single vertex: true iff it carries a self-loop)."""
-    return _weakly_irreducible(structure_matrix(prob))
+    return _coupling_digraph(prob)[1]
 
 
 def _exact_nu_over_p(prob: SpectralProblem) -> Fraction | None:
@@ -135,9 +195,7 @@ def classify_regime(prob: SpectralProblem) -> AssumptionReport:
     and cross-checked against the Perron root of the homogeneity matrix,
     which must sit on the same side of 1.
     """
-    M = structure_matrix(prob)
-    strict = _strictly_nonneg(M)
-    weak = _weakly_irreducible(M)
+    strict, weak, m_nnz = _coupling_digraph(prob)
     s_float = prob.nu_over_p
     s_exact = _exact_nu_over_p(prob)
     side = _side_of_one(s_float, s_exact)
@@ -166,7 +224,7 @@ def classify_regime(prob: SpectralProblem) -> AssumptionReport:
         weakly_irreducible=weak,
         nu_over_p=s_float,
         regime=regime,
-        M_nnz=int(np.count_nonzero(M)),
+        M_nnz=m_nnz,
         rho_A=rho,
         nu_over_p_exact=None if s_exact is None else str(s_exact),
     )

@@ -246,7 +246,7 @@ class TestNewtonNoda:
         assert_allclose(res.cw_lower, phi.flat.min(), rtol=1e-15)
         assert_allclose(
             res.res,
-            (res.cw_upper - res.cw_lower) / max(1.0, res.cw_lower),
+            (res.cw_upper - res.cw_lower) / res.cw_lower,
             rtol=1e-12,
             atol=1e-18,
         )

@@ -1,8 +1,11 @@
 """Structure matrix, nonnegativity/irreducibility checks, regime classification."""
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import specrad as sr
@@ -242,3 +245,84 @@ class TestClassifyRegime:
         assert d["strict_nonneg"] is True
         assert d["weakly_irreducible"] is True
         assert d["nu_over_p_exact"] == "1"
+
+
+@st.composite
+def block_problems(draw):
+    """Order 2-4 tensors over every partition shape, block dims from 1, with
+    some stored entries equal to 0.0 (possibly all of them, or none stored)."""
+    order = draw(st.integers(2, 4))
+    # nondecreasing block sizes summing to the order; a remainder smaller
+    # than the block just drawn is merged into it
+    sizes, left = [], order
+    while left:
+        k = draw(st.integers(sizes[-1] if sizes else 1, left))
+        if left - k and left - k < k:
+            k = left
+        sizes.append(k)
+        left -= k
+    block_dims = [draw(st.integers(1, 3)) for _ in sizes]
+    dims = [n for n, k in zip(block_dims, sizes) for _ in range(k)]
+    entries = draw(st.lists(
+        st.tuples(
+            st.tuples(*(st.integers(0, n - 1) for n in dims)),
+            st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        ),
+        max_size=30,
+    ))
+    idx = np.array([e for e, _ in entries], dtype=np.int64).reshape(-1, order)
+    tensor = sr.CooTensor(dims, idx, [v for _, v in entries])
+    starts = np.cumsum([0] + sizes)
+    blocks = [list(range(a, b)) for a, b in zip(starts[:-1], starts[1:])]
+    return sr.make_problem(tensor, blocks, ["3"] * len(sizes))
+
+
+class TestSparseCouplingDigraph:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(prob=block_problems())
+    def test_matches_dense_structure_matrix(self, prob):
+        M = sr.structure_matrix(prob)
+        strict = bool(np.all((M > 0).any(axis=1)))
+        weak = bool(M[0, 0] > 0) if M.shape[0] == 1 else sr.strong_components(M)[0] == 1
+        rep = sr.classify_regime(prob)
+        assert (rep.strict_nonneg, rep.weakly_irreducible, rep.M_nnz) == (
+            strict, weak, int(np.count_nonzero(M)))
+        assert sr.is_strictly_nonneg(prob) == strict
+        assert sr.is_weakly_irreducible(prob) == weak
+
+    def test_large_problem_needs_no_dense_matrix(self):
+        # N = 3000: the dense structure matrix alone would take 72 MB
+        n = 1000
+        rng = np.random.default_rng(5)
+        t = np.arange(n)
+        ring = np.stack([t, (t + 1) % n, (t + 1) % n], axis=1)
+        idx = np.concatenate([ring, rng.integers(0, n, size=(10 * n, 3))])
+        tensor = sr.CooTensor((n, n, n), idx, np.ones(len(idx)))
+        prob = sr.make_problem(tensor, [[0], [1], [2]], ["3", "3", "3"])
+        tracemalloc.start()
+        try:
+            rep = sr.classify_regime(prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert rep.regime is sr.Regime.WEAKLY_IRR_CRITICAL
+
+    def test_long_cycle(self):
+        # a 10^4-vertex directed cycle t -> t+1, each vertex with a self-loop
+        # so that dropping one cycle arc keeps it strictly nonnegative and
+        # only the reachability search can tell
+        n = 10_000
+        t = np.arange(n)
+        cycle = np.stack([t, (t + 1) % n, (t + 1) % n], axis=1)
+        loops = np.stack([t, t, t], axis=1)
+
+        def report(idx):
+            tensor = sr.CooTensor((n, n, n), idx, np.ones(len(idx)))
+            return sr.classify_regime(sr.make_problem(tensor, [[0, 1, 2]], ["3"]))
+
+        whole = report(np.concatenate([cycle, loops]))
+        assert whole.weakly_irreducible and whole.M_nnz == 2 * n
+        cut = report(np.concatenate([np.delete(cycle, 4321, axis=0), loops]))
+        assert cut.strict_nonneg and not cut.weakly_irreducible
+        assert cut.M_nnz == 2 * n - 1

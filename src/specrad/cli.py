@@ -182,7 +182,7 @@ def _cmd_solve(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("always", RuntimeWarning)
         try:
-            result = solve(prob, opts=opts)
+            result = solve(prob, opts=opts, report=report)
         except (SingularNewtonSystem, LineSearchFailed) as e:
             print(f"specrad: solver breakdown: {e}", file=sys.stderr)
             payload = {

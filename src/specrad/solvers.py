@@ -274,6 +274,8 @@ def newton_noda(
     prob: SpectralProblem,
     x0: BlockVector | None = None,
     opts: SolverOptions | None = None,
+    *,
+    report: AssumptionReport | None = None,
 ) -> SolveResult:
     """Line-search Newton iteration for the positive eigenpair.
 
@@ -281,9 +283,11 @@ def newton_noda(
     the eigenvalue estimate as the max ratio at every iterate, takes damped
     Newton steps on the bordered system, and stops once the certified
     bracket gap falls to ``opts.tol`` or the iteration cap is reached.
+    ``report`` is ``classify_regime(prob)`` when the caller already has it.
     """
     opts = opts or SolverOptions()
-    report = classify_regime(prob)
+    if report is None:
+        report = classify_regime(prob)
     _warn_unsupported(report)
     x = retract(prob, _start_point(prob, x0))
     phi = ratio_map(prob, x).flat
@@ -322,11 +326,15 @@ def power_iteration(
     prob: SpectralProblem,
     x0: BlockVector | None = None,
     opts: SolverOptions | None = None,
+    *,
+    report: AssumptionReport | None = None,
 ) -> SolveResult:
     """Normalized power iteration on the power map, with the same certified
-    stopping rule as the Newton solver."""
+    stopping rule as the Newton solver.  ``report`` is
+    ``classify_regime(prob)`` when the caller already has it."""
     opts = opts or SolverOptions()
-    report = classify_regime(prob)
+    if report is None:
+        report = classify_regime(prob)
     _warn_unsupported(report)
     x = normalize_blocks(prob, _start_point(prob, x0))
     trace: list[IterRecord] = []
@@ -360,9 +368,12 @@ def solve(
     prob: SpectralProblem,
     x0: BlockVector | None = None,
     opts: SolverOptions | None = None,
+    *,
+    report: AssumptionReport | None = None,
 ) -> SolveResult:
-    """Dispatch to the solver named by ``opts.method``."""
+    """Dispatch to the solver named by ``opts.method``, handing on a
+    ``classify_regime(prob)`` report the caller already has."""
     opts = opts or SolverOptions()
     if opts.method == "power":
-        return power_iteration(prob, x0, opts)
-    return newton_noda(prob, x0, opts)
+        return power_iteration(prob, x0, opts, report=report)
+    return newton_noda(prob, x0, opts, report=report)

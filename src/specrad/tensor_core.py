@@ -88,9 +88,7 @@ class CooTensor:
                     f"mode-{k} index out of range [0, {n}) in entry list"
                 )
         if vals.size:
-            uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
-            merged = np.bincount(inverse.ravel(), weights=vals, minlength=uniq.shape[0])
-            idx, vals = uniq, merged
+            idx, vals = _canonical(idx, vals)
         idx.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -122,6 +120,22 @@ class CooTensor:
 
     def __repr__(self) -> str:
         return f"CooTensor(dims={self.dims}, nnz={self.nnz})"
+
+
+def _canonical(idx: np.ndarray, vals: np.ndarray):
+    """Entries sorted lexicographically by multi-index, duplicates summed.
+
+    The sort is stable and ``bincount`` adds from ``0.0``, so each
+    coordinate's values are summed one by one in the order given, and a lone
+    ``-0.0`` becomes ``+0.0``; ``np.add.reduceat`` would sum long runs
+    pairwise, which can change the last bit.
+    """
+    order = np.lexsort(idx.T[::-1])
+    idx, vals = idx[order], vals[order]
+    first = np.empty(vals.size, dtype=bool)
+    first[:1] = True
+    np.any(idx[1:] != idx[:-1], axis=1, out=first[1:])
+    return idx[first], np.bincount(np.cumsum(first) - 1, weights=vals)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,24 @@ Indices are one-based on disk and on the command line; the in-memory
 representation is zero-based, converted exactly here.  ``write_tensor``
 emits values through ``repr``, so a write/parse round trip reproduces the
 tensor bit for bit.
+
+``parse_tensor`` reads the order and dimension lines itself, then hands the
+entry lines, split as ``str.splitlines`` splits them, to one ``np.loadtxt``
+call (numpy's C parser), a chunk of lines at a time so that the text is
+never held twice.  The per-line loop ``_parse_entries`` runs instead when
+the text is not pure ASCII (``np.loadtxt`` reads some non-ASCII letters as
+digits), and whenever ``np.loadtxt`` or the entry checks reject the text.
+It is the one place that names the offending line, and it also accepts the
+forms Python's ``int``/``float`` take and ``np.loadtxt`` does not, such as
+``1_0``; an integer beyond int64 is a ``BadIndex`` there.  Both paths
+accept the same texts and build the same tensor, bit for bit.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -36,9 +49,29 @@ __all__ = [
 ]
 
 
-def _significant_lines(text: str):
-    """Yield ``(lineno, tokens)`` for lines that carry content."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+#: Characters of text split into lines at a time on the bulk path.
+_CHUNK_CHARS = 1 << 16
+
+
+def _lines(text: str):
+    """The lines of ``text`` exactly as ``text.splitlines()`` gives them,
+    split one chunk ending in ``\n`` at a time so that only that chunk's
+    lines are held at once."""
+
+    def chunks():
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+            yield text[start:end]
+            start = end
+
+    return chain.from_iterable(map(str.splitlines, chunks()))
+
+
+def _significant_lines(lines, start: int = 1):
+    """Yield ``(lineno, tokens)`` for lines that carry content; the first of
+    ``lines`` is line ``start``."""
+    for lineno, raw in enumerate(lines, start=start):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield lineno, body.split()
@@ -54,10 +87,11 @@ def parse_tensor(source) -> CooTensor:
     tagged with the offending line number.
     """
     text = source.read() if hasattr(source, "read") else source
-    lines = _significant_lines(text)
+    lines = _lines(text)
+    header = _significant_lines(lines)
 
     try:
-        lineno, tokens = next(lines)
+        lineno, tokens = next(header)
     except StopIteration:
         raise BadHeader("empty tensor file") from None
     if len(tokens) != 1:
@@ -70,7 +104,7 @@ def parse_tensor(source) -> CooTensor:
         raise BadHeader(f"line {lineno}: order must be positive, got {m}")
 
     try:
-        lineno, tokens = next(lines)
+        lineno, tokens = next(header)
     except StopIteration:
         raise BadHeader("missing dimension line") from None
     if len(tokens) != m:
@@ -84,9 +118,41 @@ def parse_tensor(source) -> CooTensor:
     if any(n < 1 for n in dims):
         raise BadHeader(f"line {lineno}: dimensions must be positive, got {dims}")
 
+    # ``lines`` now stands right after the dimension line, line ``lineno``.
+    if text.isascii():
+        tensor = _bulk_entries(lines, dims)
+        if tensor is not None:
+            return tensor
+    return _parse_entries(text.splitlines()[lineno:], dims, lineno + 1)
+
+
+def _bulk_entries(lines, dims) -> CooTensor | None:
+    """The tensor whose entries are ``lines``, read by one ``np.loadtxt``
+    call, or ``None`` when ``np.loadtxt`` or the tensor's own index, value
+    and sign checks reject them."""
+    m = len(dims)
+    fields = [(f"i{k}", np.int64) for k in range(m)] + [("v", np.float64)]
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rec = np.loadtxt(lines, dtype=fields, comments="#", ndmin=1)
+    except ValueError:
+        return None
+    # The record is m int64 indices and one float64 value, packed.
+    idx = rec.view(np.int64).reshape(-1, m + 1)[:, :m] - 1
+    try:
+        return CooTensor(dims, idx, rec["v"])
+    except (ValueError, BadIndex, NegativeValue):
+        return None
+
+
+def _parse_entries(lines, dims, start: int) -> CooTensor:
+    """The tensor whose entries are ``lines``, the first of which is line
+    ``start``, parsed line by line; raises on the first bad line, naming it."""
+    m = len(dims)
     idx_rows: list[list[int]] = []
     vals: list[float] = []
-    for lineno, tokens in lines:
+    for lineno, tokens in _significant_lines(lines, start):
         if len(tokens) != m + 1:
             raise ParseError(
                 f"line {lineno}: expected {m} indices and a value, "
@@ -121,9 +187,12 @@ def write_tensor(tensor: CooTensor, stream=None) -> str:
     """Serialize a tensor to the text format (one-based indices, canonical
     entry order, ``repr`` values for exact round trips).  Returns the text;
     also writes it to ``stream`` when given."""
+    entry = " ".join(["%d"] * tensor.order) + " %r"
     out = [str(tensor.order), " ".join(str(n) for n in tensor.dims)]
-    for row, v in zip(tensor.indices, tensor.values):
-        out.append(" ".join(str(int(i) + 1) for i in row) + " " + repr(float(v)))
+    out += [
+        entry % (*row, v)
+        for row, v in zip((tensor.indices + 1).tolist(), tensor.values.tolist())
+    ]
     text = "\n".join(out) + "\n"
     if stream is not None:
         stream.write(text)

@@ -1,12 +1,20 @@
 """Text format round trips, spec parsing, the random generator, and the CLI."""
+import hashlib
 import io
 import json
+import sys
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specrad as sr
+import specrad.structure
+import specrad.tensor_io
 from specrad.cli import SCHEMA_VERSION, TRACE_HEADER, main
 from specrad.errors import (
     BadDensity,
@@ -14,9 +22,11 @@ from specrad.errors import (
     BadIndex,
     NegativeValue,
     ParseError,
+    SpecradError,
 )
 from specrad.tensor_io import (
     MAX_RANDOM_CELLS,
+    _parse_entries,
     parse_p,
     parse_partition,
     parse_tensor,
@@ -79,6 +89,8 @@ class TestParseTensor:
             ("2\n2 2\n0 1 1.0\n", BadIndex, "outside 1..2"),
             ("2\n2 2\n1 3 1.0\n", BadIndex, "line 3"),
             ("2\n2 2\n1 1 -1.0\n", NegativeValue, "line 3"),
+            ("2\n2 2\n99999999999999999999 1 1.0\n", BadIndex, "line 3"),
+            ("2\n2 2\n1 1 1.0\n1 1 1_e\n", ParseError, "line 4"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, exc, fragment):
@@ -89,6 +101,108 @@ class TestParseTensor:
         text = "2\n2 2\n# filler\n# filler\n1 1 -2.0\n"
         with pytest.raises(NegativeValue, match="line 5"):
             parse_tensor(text)
+
+    def test_python_number_forms_are_accepted(self):
+        # underscores and non-ASCII digits, which int()/float() take
+        t = parse_tensor("2\n12 2\n1_0 \u0662 1_5.0\n")
+        assert t.indices.tolist() == [[9, 1]]
+        assert t.values.tolist() == [15.0]
+
+    def test_non_ascii_letters_are_not_digits(self):
+        # np.loadtxt would read this index as 4621
+        with pytest.raises(ParseError, match="line 3: indices must be integers"):
+            parse_tensor("2\n5000 2\n\u01fe1 1 1.0\n")
+
+    def test_splitlines_breaks_end_an_entry_line(self):
+        t = parse_tensor("2\n2 2\n1 1 1.0\x0c2 2 2.0\v# c\x1d\n")
+        assert t.indices.tolist() == [[0, 0], [1, 1]]
+        assert t.values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3\n2 2 2\n1 1 1 0.5\n2 2 2 1.5\n",
+            "3\r\n2 2 2\r\n1 1 1 0.5\r\n2 2 2 1.5",
+            "# head\n3 # order\n\n2\t2 2\n1\t1 1 0.5 # entry\n\n# mid\n2 2 2\t1.5\n",
+            "3\n2 2 2\n",
+        ],
+    )
+    def test_well_formed_text_skips_the_per_line_loop(self, text, monkeypatch):
+        def per_line(*args):
+            raise AssertionError("the per-line loop ran on a well-formed text")
+
+        monkeypatch.setattr(specrad.tensor_io, "_parse_entries", per_line)
+        t = parse_tensor(text)
+        assert t.dims == (2, 2, 2)
+        assert t.nnz in (0, 2)
+
+    def test_large_text_in_bulk_and_in_bounded_memory(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        idx = rng.integers(1, 2001, size=(64_000, 3))
+        vals = 1.0 - rng.random(64_000)
+        text = "3\n2000 2000 2000\n" + "".join(
+            f"{i} {j} {k} {v!r}\n" for (i, j, k), v in zip(idx.tolist(), vals.tolist())
+        )
+        monkeypatch.setattr(specrad.tensor_io, "_parse_entries", None)
+        tracemalloc.start()
+        try:
+            t = parse_tensor(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t == sr.CooTensor(t.dims, idx - 1, vals)
+        assert peak < 20e6
+
+
+_TOKENS = [
+    "1", "2", "3", "1_0", "+1", "1.0", "x", "-1", "99999999999999999999",
+    "inf", "nan", "-0.0", "1e309", "0.5",
+]
+_EOLS = ["\n", "\n", "\r\n", "\r\n", " # note\n", "\t\n"]
+
+
+@st.composite
+def tensor_texts(draw):
+    """``(text, dims)``: an order and dimension line on lines 1 and 2, then
+    lines of drawn tokens, comments and blanks with drawn line endings."""
+    m = draw(st.integers(1, 3))
+    dims = [draw(st.integers(1, 12)) for _ in range(m)]
+    lines = [str(m), " ".join(map(str, dims))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["entry", "entry", "entry", "tokens", "comment", "blank"]))
+        if kind == "entry":
+            toks = [str(draw(st.integers(1, n))) for n in dims]
+            toks.append(draw(st.sampled_from(["0.5", "1.0", "2", "-0.0", "0.1", "1_0", "+1"])))
+        elif kind == "tokens":
+            toks = draw(st.lists(st.sampled_from(_TOKENS), min_size=m, max_size=m + 2))
+        else:
+            toks = ["# just a comment"] if kind == "comment" else []
+        lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(toks))
+    eols = [draw(st.sampled_from(_EOLS)) for _ in lines]
+    text = "".join(line + eol for line, eol in zip(lines, eols))
+    if draw(st.booleans()):
+        text = text[: -len(eols[-1])]
+    return text, tuple(dims)
+
+
+def _outcome(parse):
+    try:
+        t = parse()
+    except (SpecradError, ValueError) as e:
+        return type(e), str(e)
+    return t.dims, t.indices.tobytes(), t.values.tobytes()
+
+
+class TestBulkParseMatchesPerLineLoop:
+    """Whichever path parses the entries, the tensor or the error is the
+    per-line loop's, bit for bit and word for word."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=tensor_texts())
+    def test_same_tensor_or_same_error(self, case):
+        text, dims = case
+        expected = _outcome(lambda: _parse_entries(text.splitlines()[2:], dims, 3))
+        assert _outcome(lambda: parse_tensor(text)) == expected
 
 
 class TestWriteTensor:
@@ -103,6 +217,13 @@ class TestWriteTensor:
         t2 = sr.CooTensor((2, 2), [(0, 0), (1, 1)], [0.1 + 0.2, 1.0 / 3.0])
         back2 = parse_tensor(write_tensor(t2))
         assert back2.values.tolist() == [0.1 + 0.2, 1.0 / 3.0]
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-300, 0.1 + 0.2, 1e308])
+    def test_round_trip_is_bit_exact_at_extreme_values(self, value):
+        t = sr.CooTensor((2, 3), [(1, 2), (0, 0)], [value, 1.0])
+        back = parse_tensor(write_tensor(t))
+        assert back.values.tobytes() == t.values.tobytes()
+        assert np.array_equal(back.indices, t.indices)
 
     def test_stream_output_matches_return_value(self):
         t = sr.CooTensor((2, 2), [(0, 1)], [2.5])
@@ -363,6 +484,45 @@ class TestCliSolve:
         assert "specrad" in capsys.readouterr().out
 
 
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Counts ``classify_regime`` calls through every ``specrad`` binding."""
+    calls = []
+    original = specrad.structure.classify_regime
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "specrad" and getattr(module, "classify_regime", None) is original:
+            monkeypatch.setattr(module, "classify_regime", counted)
+    return calls
+
+
+class TestCliClassifiesOnce:
+    @pytest.mark.parametrize("method", ["lsnnm", "power"])
+    def test_one_classify_per_solve(self, ref_file, capsys, classify_calls, method):
+        rc = run_cli(
+            [
+                "solve", "--tensor", ref_file, "--partition", "1;2;3",
+                "--p", "3,3,3", "--method", method,
+            ]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0 and payload["converged"]
+        assert payload["regime"]["regime"] == "WeaklyIrrCritical"
+        assert len(classify_calls) == 1
+
+    def test_solvers_classify_without_a_report(self, ref_tensor, classify_calls):
+        prob = sr.make_problem(ref_tensor, [[0], [1], [2]], ["3", "3", "3"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sr.solve(prob)
+            sr.power_iteration(prob)
+        assert len(classify_calls) == 2
+
+
 class TestCliCheck:
     def test_reports_regime(self, ref_file, capsys):
         rc = run_cli(
@@ -411,6 +571,22 @@ class TestCliRandom:
             assert rc == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "dims, density, seed, size, sha256",
+        [
+            ("100,100,100", "0.03", "0", 840_974,
+             "edb05998aa40be972bcfdc9e3c051fe41017a5eb25ffc00c405e34e31d9afc4b"),
+            ("4,4,4", "0.3", "7", 486,
+             "6b6ea159eff4673c2cd1e96473ff56537e13e44dc1fd14b459c0adfd9ea22ead"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, dims, density, seed, size, sha256):
+        rc = run_cli(["random", "--dims", dims, "--density", density, "--seed", seed])
+        out = capsys.readouterr().out.encode()
+        assert rc == 0
+        assert len(out) == size
+        assert hashlib.sha256(out).hexdigest() == sha256
 
     def test_bad_density_exits_1(self, capsys):
         rc = run_cli(["random", "--dims", "2,2", "--density", "2.0"])

@@ -388,6 +388,31 @@ class TestGradientEvaluations:
         assert len(calls) == res.iterations + 1
 
 
+class TestPrecomputedReport:
+    """A report the caller already has is used as given, and the result is
+    the one the solver gets by classifying the problem itself."""
+
+    @pytest.mark.parametrize("method", ["lsnnm", "power"])
+    @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
+    def test_same_result_with_and_without(self, case, method):
+        prob = sr.make_problem(sr.reference_tensor(), case.blocks, case.p)
+        opts = sr.SolverOptions(method=method)
+        report = sr.classify_regime(prob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            given = sr.solve(prob, opts=opts, report=report)
+            own = sr.solve(prob, opts=opts)
+        assert given.regime is report
+        assert given.trace == own.trace
+        assert np.array_equal(given.x.flat, own.x.flat)
+        assert given.lambda_star == own.lambda_star and given.res == own.res
+
+    def test_report_is_keyword_only(self, ref_tensor):
+        prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])
+        with pytest.raises(TypeError):
+            sr.newton_noda(prob, None, None, sr.classify_regime(prob))
+
+
 class TestPowerIteration:
     def test_converges_on_reference_configs(self, nine_problem):
         prob, lam_ref = nine_problem

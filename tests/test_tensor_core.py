@@ -1,6 +1,8 @@
 """Tensor storage, partition validation, and contraction kernels."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import specrad as sr
@@ -64,6 +66,43 @@ class TestCooTensor:
             t.dims = (2, 2, 2)
         with pytest.raises(ValueError):
             t.values[0] = 7.0
+
+
+@st.composite
+def coo_entries(draw):
+    """``(dims, indices, values)`` over a small index space, so coordinates
+    repeat (often more than eight times), in the order drawn."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    cells = draw(st.lists(st.integers(0, int(np.prod(dims)) - 1), max_size=60))
+    vals = draw(st.lists(
+        st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 2.5, 1e-300, 5e-324, 1e300]),
+        min_size=len(cells), max_size=len(cells),
+    ))
+    idx = np.stack(np.unravel_index(np.asarray(cells, dtype=np.int64), dims), axis=1)
+    return dims, idx, vals
+
+
+class TestCanonicalForm:
+    """The sorted, merged entries are those of ``np.unique(axis=0)`` and a
+    ``bincount`` over its inverse, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(entries=coo_entries())
+    def test_matches_unique_bincount_reference(self, entries):
+        dims, idx, vals = entries
+        t = sr.CooTensor(dims, idx, vals)
+        if not vals:
+            assert t.indices.shape == (0, len(dims)) and t.nnz == 0
+            return
+        uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+        merged = np.bincount(inverse.ravel(), weights=vals, minlength=uniq.shape[0])
+        assert np.array_equal(t.indices, uniq)
+        assert t.values.tobytes() == merged.tobytes()
+
+    def test_lone_negative_zero_is_stored_as_positive_zero(self):
+        t = sr.CooTensor((2, 2), [(1, 1), (0, 1)], [-0.0, 1.0])
+        assert t.values.tolist() == [1.0, 0.0]
+        assert not np.signbit(t.values).any()
 
 
 class TestValidatePartition:

@@ -9,7 +9,7 @@ to compute the positive eigenpair with a certified error bracket.
 
 from . import errors
 from .bench import BENCH_CASES, reference_tensor, run_benchmark
-from .linalg import dominant_eigpair, lu_solve, strong_components
+from .linalg import dominant_eigpair, gmres, lu_solve, strong_components
 from .solvers import (
     IterRecord,
     SolveResult,
@@ -121,6 +121,7 @@ __all__ = [
     "classify_regime",
     # linalg
     "lu_solve",
+    "gmres",
     "dominant_eigpair",
     "strong_components",
     # solvers

@@ -22,6 +22,7 @@ from dataclasses import fields
 from . import __version__
 from .bench import format_table, run_benchmark
 from .errors import (
+    KrylovStalled,
     LineSearchFailed,
     SingularNewtonSystem,
     SpecradError,
@@ -183,7 +184,7 @@ def _cmd_solve(args) -> int:
         warnings.simplefilter("always", RuntimeWarning)
         try:
             result = solve(prob, opts=opts, report=report)
-        except (SingularNewtonSystem, LineSearchFailed) as e:
+        except (SingularNewtonSystem, KrylovStalled, LineSearchFailed) as e:
             print(f"specrad: solver breakdown: {e}", file=sys.stderr)
             payload = {
                 "schema_version": SCHEMA_VERSION,

@@ -63,7 +63,7 @@ class OverflowGuard(SpecradError):
     """A log-domain argument would overflow ``exp`` (exponent too large)."""
 
 
-# --- dense linear-algebra kernels ---------------------------------------------
+# --- linear-algebra kernels ----------------------------------------------------
 
 class SingularMatrix(SpecradError):
     """A linear solve met an exactly singular matrix or gave a non-finite
@@ -72,6 +72,11 @@ class SingularMatrix(SpecradError):
 
 class NoConvergence(SpecradError):
     """An iterative kernel exhausted its iteration budget."""
+
+
+class KrylovStalled(SpecradError):
+    """GMRES missed its residual tolerance within its iteration cap, or met a
+    singular or non-finite system; no inexact solution is returned."""
 
 
 # --- solvers -------------------------------------------------------------------

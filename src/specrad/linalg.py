@@ -1,6 +1,8 @@
-"""Small dense linear-algebra kernels.
+"""Linear-algebra kernels.
 
-Linear solves go straight to LAPACK through numpy.  The Perron and
+Dense linear solves go straight to LAPACK through numpy; large sparse
+systems are solved by GMRES, which needs only the product with the
+matrix and so never forms it.  The Perron and
 strong-component kernels are kept here because numpy has no equivalent:
 the first needs a strictly positive eigenvector of a possibly cyclic
 nonnegative matrix, the second a digraph's component labels.
@@ -9,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, SingularMatrix
+from .errors import KrylovStalled, NoConvergence, SingularMatrix
 
-__all__ = ["lu_solve", "dominant_eigpair", "strong_components"]
+__all__ = ["lu_solve", "gmres", "dominant_eigpair", "strong_components"]
 
 
 def lu_solve(A, rhs) -> np.ndarray:
@@ -36,6 +38,65 @@ def lu_solve(A, rhs) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("solution has non-finite entries")
     return x
+
+
+def gmres(matvec, b, precond, *, rtol: float, restart: int, max_iter: int) -> np.ndarray:
+    """Solve ``A x = b`` by restarted GMRES, right-preconditioned by the
+    diagonal ``precond`` (``A`` is seen only through ``matvec(v) = A @ v``).
+
+    Each cycle builds an Arnoldi basis of at most ``restart`` vectors,
+    orthogonalized by classical Gram-Schmidt applied twice, and reduces the
+    Hessenberg matrix by Givens rotations.  A cycle ends when the rotated
+    residual estimate meets ``rtol * |b|``; the solution is returned only
+    once the true residual ``|b - A x|`` meets it too.  Raises
+    :class:`~specrad.errors.KrylovStalled` when ``max_iter`` inner
+    iterations in all do not reach it, or when the system is singular on
+    the Krylov space or a product is not finite.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    x = np.zeros(b.size)
+    target = rtol * float(np.linalg.norm(b))
+    r, used = b, 0
+    while True:
+        beta = float(np.linalg.norm(r))
+        if beta <= target:
+            return x
+        if used >= max_iter or not np.isfinite(beta):
+            raise KrylovStalled(
+                f"GMRES relative residual {beta / np.linalg.norm(b):.3g} after "
+                f"{used} iterations misses rtol {rtol:.3g}"
+            )
+        m = min(restart, max_iter - used)
+        V = np.empty((m + 1, b.size))
+        R = np.zeros((m + 1, m))
+        rot = np.zeros((m, 2))
+        g = np.zeros(m + 1)
+        V[0] = r / beta
+        g[0] = beta
+        for j in range(m):
+            w = matvec(precond * V[j])
+            if not np.all(np.isfinite(w)):
+                raise KrylovStalled("GMRES met a non-finite matrix product")
+            for _ in range(2):
+                h = V[: j + 1] @ w
+                w -= h @ V[: j + 1]
+                R[: j + 1, j] += h
+            R[j + 1, j] = hn = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rot[:j]):
+                R[i, j], R[i + 1, j] = c * R[i, j] + s * R[i + 1, j], c * R[i + 1, j] - s * R[i, j]
+            rr = np.hypot(R[j, j], R[j + 1, j])
+            if not np.isfinite(rr) or rr == 0.0:
+                raise KrylovStalled("GMRES met a singular or non-finite Krylov system")
+            rot[j] = R[j, j] / rr, R[j + 1, j] / rr
+            R[j, j], R[j + 1, j] = rr, 0.0
+            g[j], g[j + 1] = rot[j, 0] * g[j], -rot[j, 1] * g[j]
+            used += 1
+            if abs(g[j + 1]) <= target or j + 1 == m:
+                break
+            V[j + 1] = w / hn
+        y = np.linalg.solve(R[: j + 1, : j + 1], g[: j + 1])
+        x = x + precond * (y @ V[: j + 1])
+        r = b - matvec(x)
 
 
 def dominant_eigpair(A, tol: float = 1e-14, max_iter: int = 10000):

@@ -28,6 +28,7 @@ from .tensor_core import (
     BlockVector,
     CooTensor,
     ShapePartition,
+    _jacobian_triplets,
     conform,
     gradient_map,
     gradient_map_jacobian,
@@ -273,6 +274,35 @@ def _newton_matrix(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: 
     DH[:n, n] = x.flat
     DH[n, :n] = _norm_product_grad(prob, x)
     return DH
+
+
+def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float):
+    """The bordered Newton matrix as a product, never formed.
+
+    Returns ``(matvec, diag, g)``.  ``matvec`` multiplies the matrix with
+    its residual rows scaled by ``1/lam`` and its last unknown ``delta/lam``,
+    so the system it poses is the same at every scale of the tensor:
+    ``J v / lam + x * t`` over ``g . v``, where ``J v = (lam + (p-2) * phi)
+    * v - x**(2-p) * DG v`` with ``DG`` applied from its triplets.  ``diag``
+    is the scaled diagonal of that Jacobian block and ``g`` the border row,
+    the constraint gradient.
+    """
+    rows, cols, w = _jacobian_triplets(prob, x)
+    pe = prob._p_flat
+    xf = x.flat
+    n = xf.size
+    diag = (lam + (pe - 2.0) * phi) / lam
+    w = w * (xf ** (2.0 - pe) / lam)[rows]
+    g = _norm_product_grad(prob, x)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        d = v[:n]
+        out = np.empty(n + 1)
+        out[:n] = diag * d - np.bincount(rows, weights=w * d[cols], minlength=n) + xf * v[n]
+        out[n] = g @ d
+        return out
+
+    return matvec, diag, g
 
 
 def eigen_residual(prob: SpectralProblem, x: BlockVector, lam: float) -> BlockVector:

@@ -4,8 +4,10 @@ A tensor of order ``m`` is stored in coordinate (COO) form.  A *shape
 partition* groups the modes into contiguous blocks of equal dimension, and a
 :class:`BlockVector` holds one vector per block.  The contraction kernels in
 this module evaluate the multilinear form, its blockwise partial gradients,
-and the dense Jacobian of the gradient map; everything downstream (ratio
-maps, Newton systems, structure checks) is built on top of them.
+and the Jacobian of the gradient map, either as its unsummed sparse entries
+``(rows, cols, w)`` or scattered from them into a dense matrix; everything
+downstream (ratio maps, Newton systems, structure checks) is built on top of
+them.
 
 Indices are zero-based everywhere in memory.  The one-based convention used
 by tensor files and the command line is translated at the I/O boundary only
@@ -124,6 +126,20 @@ class CooTensor:
 
 def _canonical(idx: np.ndarray, vals: np.ndarray):
     """Entries sorted lexicographically by multi-index, duplicates summed.
+
+    Rows already in strictly increasing order (files written by
+    :func:`~specrad.tensor_io.write_tensor` are) skip the sort; ``+ 0.0``
+    turns a ``-0.0`` into ``+0.0`` as the summation would.
+    """
+    step = np.diff(idx, axis=0)
+    lead = step[np.arange(step.shape[0]), (step != 0).argmax(axis=1)]
+    if np.all(lead > 0):
+        return idx.copy(), vals + 0.0
+    return _lexsort_canonical(idx, vals)
+
+
+def _lexsort_canonical(idx: np.ndarray, vals: np.ndarray):
+    """:func:`_canonical` by sorting, whatever the input order.
 
     The sort is stable and ``bincount`` adds from ``0.0``, so each
     coordinate's values are summed one by one in the order given, and a lone
@@ -398,20 +414,18 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     return BlockVector([grad_component(prob.tensor, s, zs) for s in part.starts])
 
 
-def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
-    """Dense Jacobian of :func:`gradient_map` at ``x``.
+def _jacobian_triplets(prob, x: BlockVector):
+    """Entries of the gradient-map Jacobian at ``x`` as ``(rows, cols, w)``.
 
-    Row block ``i`` / column block ``l`` holds the derivative of gradient
-    block ``i`` with respect to the variables of block ``l``.  Cost is
-    ``O(nnz * m^2)`` plus the dense accumulation.
+    Row ``rows[k]``, column ``cols[k]`` receives ``w[k]``; a coordinate
+    repeats once per stored entry and mode pair that reaches it, and the
+    repeats are left unsummed.  The order is block by block, then mode by
+    mode, then entry by entry, so summing in array order gives the dense
+    Jacobian bit for bit.  Cost is ``O(nnz * m^2)``.
     """
     part = prob.partition
     tensor = prob.tensor
     conform(part, x)
-    n = part.total_dim
-    DG = np.zeros((n, n))
-    if tensor.nnz == 0:
-        return DG
     idx = tensor.indices
     vals = tensor.values
     m = part.order
@@ -420,8 +434,9 @@ def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
     offs = part.offsets
     mb = part.mode_block
     nnz = tensor.nnz
+    rows, cols, w = [], [], []
     for i, s in enumerate(part.starts):
-        rows = offs[i] + idx[:, s]
+        row = offs[i] + idx[:, s]
         others = [q for q in range(m) if q != s]
         k = len(others)
         # prefix[j] = prod of fac[others[:j]], suffix[j] = prod of fac[others[j:]]
@@ -432,7 +447,24 @@ def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
         for j in range(k - 1, -1, -1):
             suffix[j] = suffix[j + 1] * fac[others[j]]
         for j, q in enumerate(others):
-            w = vals * prefix[j] * suffix[j + 1]
-            cols = offs[mb[q]] + idx[:, q]
-            np.add.at(DG, (rows, cols), w)
-    return DG
+            rows.append(row)
+            cols.append(offs[mb[q]] + idx[:, q])
+            w.append(vals * prefix[j] * suffix[j + 1])
+    if not w:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(w)
+
+
+def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
+    """Dense Jacobian of :func:`gradient_map` at ``x``.
+
+    Row block ``i`` / column block ``l`` holds the derivative of gradient
+    block ``i`` with respect to the variables of block ``l``.  Cost is
+    ``O(nnz * m^2)`` plus the dense accumulation.
+    """
+    n = prob.partition.total_dim
+    rows, cols, w = _jacobian_triplets(prob, x)
+    DG = np.bincount(rows * n + cols, weights=w, minlength=n * n)
+    # with no weights at all, bincount counts in int64
+    return DG.astype(np.float64, copy=False).reshape(n, n)

@@ -77,6 +77,20 @@ def random_positive(prob, rng, lo=0.2, hi=2.0) -> sr.BlockVector:
     return bv(prob, flat)
 
 
+def ring_cube(n: int, seed: int, scale: float = 1.0) -> sr.CooTensor:
+    """Seeded sparse n x n x n tensor: 30 random coordinates per index plus the
+    entries ``(t, t, t)`` and ``(t, t+1, t+1)`` (mod n), which make it strictly
+    nonnegative and weakly irreducible for the all-singleton partition."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.integers(0, n, size=(30 * n, 3))
+    t = np.arange(n)
+    ring = np.concatenate(
+        [np.stack([t, t, t], axis=1), np.stack([t, (t + 1) % n, (t + 1) % n], axis=1)]
+    )
+    idx = np.unique(np.concatenate([drawn, ring]), axis=0)
+    return sr.CooTensor((n,) * 3, idx, scale * (1.0 - rng.random(idx.shape[0])))
+
+
 # ---------------------------------------------------------------------------
 # standard problems
 # ---------------------------------------------------------------------------

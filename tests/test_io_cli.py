@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrad as sr
+import specrad.solvers
 import specrad.structure
 import specrad.tensor_io
 from specrad.cli import SCHEMA_VERSION, TRACE_HEADER, main
@@ -33,6 +34,8 @@ from specrad.tensor_io import (
     random_tensor,
     write_tensor,
 )
+
+from conftest import ring_cube
 
 
 class TestParseTensor:
@@ -401,6 +404,21 @@ class TestCliSolve:
         )
         capsys.readouterr()
         assert rc == 2
+
+    def test_krylov_breakdown_exits_2(self, tmp_path, capsys, monkeypatch):
+        # N = 303 unknowns take the GMRES step; a cap of 1 cannot meet rtol
+        monkeypatch.setattr(sr.solvers, "_KRYLOV_MAX_ITER", 1)
+        path = tmp_path / "ring.txt"
+        path.write_text(write_tensor(ring_cube(101, 0)))
+        rc = run_cli(
+            ["solve", "--tensor", str(path), "--partition", "1;2;3", "--p", "4,4,4"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "solver breakdown" in captured.err and "rtol" in captured.err
+        payload = json.loads(captured.out)
+        assert "solver breakdown" in payload["error"]
+        assert payload["regime"]["regime"] == "BothValid"
 
     def test_structural_rejection_exits_3(self, tmp_path, capsys):
         path = tmp_path / "zero.txt"

@@ -1,10 +1,11 @@
-"""Dense kernels: LU solve, dominant eigenpair, strongly connected components."""
+"""Linear-algebra kernels: LU solve, GMRES, dominant eigenpair, strongly
+connected components."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import specrad as sr
-from specrad.errors import NoConvergence, SingularMatrix
+from specrad.errors import KrylovStalled, NoConvergence, SingularMatrix
 
 
 class TestLuSolve:
@@ -50,6 +51,48 @@ class TestLuSolve:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             sr.lu_solve(np.ones((2, 3)), np.ones(2))
+
+
+def gmres_dense(A, b, precond=None, rtol=1e-13, restart=20, max_iter=500):
+    A = np.asarray(A, dtype=float)
+    precond = np.ones(A.shape[0]) if precond is None else precond
+    return sr.gmres(lambda v: A @ v, b, precond, rtol=rtol, restart=restart, max_iter=max_iter)
+
+
+class TestGmres:
+    def test_true_residual_meets_rtol(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 5, 40, 150):
+            A = rng.normal(size=(n, n)) + 3 * np.sqrt(n) * np.eye(n)
+            b = rng.normal(size=n)
+            x = gmres_dense(A, b, restart=10)  # forces restarts for n > 10
+            assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+    def test_diagonal_preconditioner_is_applied_on_the_right(self):
+        # badly scaled columns: Jacobi on the right makes the system the identity
+        d = np.logspace(-8, 8, 30)
+        x = gmres_dense(np.diag(d), np.ones(30), precond=1.0 / d, max_iter=2)
+        assert_allclose(x, 1.0 / d, rtol=1e-13)
+
+    def test_zero_rhs_gives_zero(self):
+        assert np.array_equal(gmres_dense(np.eye(3), np.zeros(3)), np.zeros(3))
+
+    def test_cap_raises_instead_of_returning_inexact_solution(self):
+        A = np.diag(np.arange(1.0, 31.0))
+        with pytest.raises(KrylovStalled, match="misses rtol"):
+            gmres_dense(A, np.ones(30), max_iter=5)
+
+    def test_singular_system_raises(self):
+        with pytest.raises(KrylovStalled, match="singular"):
+            gmres_dense([[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0])
+
+    def test_non_finite_product_raises(self):
+        with pytest.raises(KrylovStalled, match="non-finite"):
+            gmres_dense([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0])
+
+    def test_non_finite_rhs_raises(self):
+        with pytest.raises(KrylovStalled):
+            gmres_dense(np.eye(2), [np.nan, 1.0])
 
 
 class TestDominantEigpair:

@@ -1,5 +1,6 @@
 """Newton step, line search, full solves, traces, and cross-method checks."""
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,15 +10,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import specrad as sr
+import specrad.solvers
 import specrad.tensor_core
 from specrad.errors import (
+    KrylovStalled,
     LineSearchFailed,
     NonPositiveInput,
     ShapeMismatch,
     SingularNewtonSystem,
 )
 
-from conftest import bv, random_positive, rel_err
+from conftest import bv, random_positive, rel_err, ring_cube
 
 
 def solve_quiet(prob, x0=None, opts=None, method="lsnnm"):
@@ -358,23 +361,28 @@ class TestCertificateBoundsError:
         assert abs(rp.lambda_star - exact.lambda_star) <= rp.res * exact.lambda_star
 
 
+def count_gradient_calls(monkeypatch) -> list:
+    """Count ``gradient_map`` calls through every ``specrad`` binding of it."""
+    calls = []
+    original = specrad.tensor_core.gradient_map
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "specrad" and getattr(module, "gradient_map", None) is original:
+            monkeypatch.setattr(module, "gradient_map", counted)
+    return calls
+
+
 class TestGradientEvaluations:
     """Each iterate evaluates its ratios once; Newton evaluates them once more
     for the certificate, at the blockwise normalization."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = []
-        original = specrad.tensor_core.gradient_map
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "specrad" and getattr(module, "gradient_map", None) is original:
-                monkeypatch.setattr(module, "gradient_map", counted)
-        return calls
+        return count_gradient_calls(monkeypatch)
 
     @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
     def test_newton_at_most_two_per_iterate(self, case, calls):
@@ -493,3 +501,132 @@ class TestCertifiedResidual:
         prob, _ = nine_problem
         res = solve_quiet(prob)
         assert sr.certified_residual(prob, res.x) <= 1e-12
+
+
+SINGLETONS = [[0], [1], [2]]
+
+#: (blocks, p, n): order-3 ring cubes with N = 3n or 2n just above the
+#: dense crossover, in every regime; the last is Unsupported.
+KRYLOV_CONFIGS = [
+    (SINGLETONS, ["4", "4", "4"], 103),
+    (SINGLETONS, ["3", "3", "3"], 104),
+    (SINGLETONS, ["2.5", "4", "6"], 105),
+    (SINGLETONS, ["6", "6", "6"], 106),
+    ([[0], [1, 2]], ["3", "5"], 155),
+    (SINGLETONS, ["1.5", "4", "4"], 107),
+]
+
+
+def krylov_id(cfg):
+    blocks, p, n = cfg
+    return f"{len(blocks)}blocks|p={','.join(p)}|n={n}"
+
+
+class TestKrylovNewton:
+    """Above ``_DENSE_MAX_N`` unknowns the Newton step is solved by GMRES on
+    the matrix-free bordered operator; it must be the dense step, at every
+    scale, with a quadratic tail, and never silently inexact."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        cfg=st.sampled_from(KRYLOV_CONFIGS),
+        seed=st.integers(0, 10**6),
+        start=st.integers(0, 10**6),
+    )
+    def test_step_matches_dense(self, cfg, seed, start):
+        blocks, p, n = cfg
+        prob = sr.make_problem(ring_cube(n, seed), blocks, p)
+        x = sr.retract(prob, random_positive(prob, np.random.default_rng(start)))
+        phi = sr.ratio_map(prob, x).flat
+        lam = float(phi.max())
+        H = sr.eigen_system(prob, x, lam)
+        d, delta, _ = sr.solvers._newton_step(prob, x, phi, lam, H)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sr.solvers, "_DENSE_MAX_N", 10**9)
+            d_ref, delta_ref, _ = sr.solvers._newton_step(prob, x, phi, lam, H)
+        assert rel_err(d, d_ref) <= 1e-9
+        assert abs(delta - delta_ref) <= 1e-9 * abs(delta_ref)
+
+    @pytest.mark.parametrize("n, krylov", [(100, False), (101, True)])
+    def test_dispatch_on_unknowns(self, n, krylov, monkeypatch):
+        calls = {"gmres": 0, "lu_solve": 0}
+        for name in calls:
+            original = getattr(sr.solvers, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sr.solvers, name, counted)
+        res = solve_quiet(sr.make_problem(ring_cube(n, 0), SINGLETONS, ["4", "4", "4"]))
+        assert res.converged and res.iterations > 0
+        expected = (res.iterations, 0) if krylov else (0, res.iterations)
+        assert (calls["gmres"], calls["lu_solve"]) == expected
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10**6), log10_c=st.floats(min_value=-200.0, max_value=200.0))
+    def test_lambda_scales_with_tensor(self, seed, log10_c):
+        c = 10.0**log10_c
+        make = lambda t: sr.make_problem(t, SINGLETONS, ["4", "4", "4"])  # noqa: E731
+        base = solve_quiet(make(ring_cube(103, seed)))
+        res = solve_quiet(make(ring_cube(103, seed, scale=c)))
+        assert base.converged and res.converged
+        assert abs(res.lambda_star / c - base.lambda_star) <= 1e-10 * base.lambda_star
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(cfg=st.sampled_from(KRYLOV_CONFIGS), seed=st.integers(0, 10**6))
+    def test_tail_is_superlinear(self, cfg, seed):
+        blocks, p, n = cfg
+        opts = sr.SolverOptions()
+        res = solve_quiet(sr.make_problem(ring_cube(n, seed), blocks, p), opts=opts)
+        assert res.converged
+        r = [rec.res for rec in res.trace]
+        for before, after in zip(r[-4:-1], r[-3:]):
+            assert after <= max(before**1.5, 10 * opts.tol)
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(cfg=st.sampled_from(KRYLOV_CONFIGS), seed=st.integers(0, 10**6))
+    def test_at_most_two_gradient_evaluations_per_iterate(self, cfg, seed):
+        blocks, p, n = cfg
+        prob = sr.make_problem(ring_cube(n, seed), blocks, p)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_gradient_calls(mp)
+            res = solve_quiet(prob)
+        assert 0 < len(calls) <= 2 * (res.iterations + 1)
+
+    def test_missed_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(sr.solvers, "_KRYLOV_MAX_ITER", 1)
+        prob = sr.make_problem(ring_cube(103, 0), SINGLETONS, ["4", "4", "4"])
+        with pytest.raises(KrylovStalled):
+            sr.newton_noda(prob)
+
+    def test_large_solve_builds_no_dense_matrix(self):
+        # N = 6000: one dense bordered matrix alone would be 288 MB
+        prob = sr.make_problem(ring_cube(2000, 0), SINGLETONS, ["4", "4", "4"])
+        tracemalloc.start()
+        try:
+            res = sr.newton_noda(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 60e6
+
+
+class TestSingularValueKnownAnswer:
+    """For a nonnegative matrix with partition ``1;2`` and p = 2,2 the
+    spectral radius is the largest singular value; at n >= 160 the solve
+    runs on the GMRES path."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(160, 400), seed=st.integers(0, 10**6))
+    def test_lambda_is_largest_singular_value(self, n, seed):
+        rng = np.random.default_rng(seed)
+        A = (rng.random((n, n)) < 0.2) * rng.random((n, n))
+        A[np.diag_indices(n)] += 0.5
+        rows, cols = np.nonzero(A)
+        t = sr.CooTensor((n, n), np.stack([rows, cols], axis=1), A[rows, cols])
+        res = solve_quiet(sr.make_problem(t, [[0], [1]], ["2", "2"]))
+        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
+        assert res.converged
+        assert abs(res.lambda_star - sigma) <= 1e-10 * sigma

@@ -17,6 +17,7 @@ from specrad.errors import (
     ShapeMismatch,
     UnequalDimsInBlock,
 )
+from specrad.tensor_core import _canonical, _jacobian_triplets, _lexsort_canonical
 
 from conftest import (
     dense_from_coo,
@@ -103,6 +104,25 @@ class TestCanonicalForm:
         t = sr.CooTensor((2, 2), [(1, 1), (0, 1)], [-0.0, 1.0])
         assert t.values.tolist() == [1.0, 0.0]
         assert not np.signbit(t.values).any()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(entries=coo_entries(), presort=st.booleans())
+    def test_sorted_input_skips_the_sort_with_the_same_bits(self, entries, presort):
+        dims, idx, vals = entries
+        vals = np.asarray(vals, dtype=np.float64)
+        if presort:  # sorted and distinct, as written files are
+            idx, first = np.unique(idx, axis=0, return_index=True)
+            vals = vals[first]
+        fast = _canonical(idx, vals)
+        ref = _lexsort_canonical(idx, vals)
+        assert fast[0].shape == ref[0].shape and fast[1].shape == ref[1].shape
+        assert fast[0].tobytes() == ref[0].tobytes()
+        assert fast[1].tobytes() == ref[1].tobytes()
+
+    def test_sorted_input_is_copied(self):
+        idx = np.array([[0, 1], [1, 0]])
+        t = sr.CooTensor((2, 2), idx, [1.0, 2.0])
+        assert idx.flags.writeable and not np.shares_memory(idx, t.indices)
 
 
 class TestValidatePartition:
@@ -353,8 +373,18 @@ class TestGradientMapJacobian:
 
         assert rel_err(fd_jacobian(g, x.flat), sr.gradient_map_jacobian(prob, x)) < 1e-7
 
+    def test_is_the_in_order_sum_of_its_triplets(self, nine_problem):
+        prob, _ = nine_problem
+        x = random_positive(prob, np.random.default_rng(3))
+        rows, cols, w = _jacobian_triplets(prob, x)
+        n = prob.partition.total_dim
+        ref = np.zeros((n, n))
+        np.add.at(ref, (rows, cols), w)
+        assert sr.gradient_map_jacobian(prob, x).tobytes() == ref.tobytes()
+
     def test_zero_tensor_gives_zero_jacobian(self):
         t = sr.CooTensor((2, 2, 2), [], [])
         prob = sr.make_problem(t, [[0, 1, 2]], ["3"])
         DG = sr.gradient_map_jacobian(prob, sr.BlockVector([[1.0, 1.0]]))
+        assert DG.dtype == np.float64
         assert_allclose(DG, np.zeros((2, 2)))

@@ -9,7 +9,7 @@ to compute the positive eigenpair with a certified error bracket.
 
 from . import errors
 from .bench import BENCH_CASES, reference_tensor, run_benchmark
-from .linalg import dominant_eigpair, gmres, lu_solve, strong_components
+from .linalg import gmres, lu_solve
 from .solvers import (
     IterRecord,
     SolveResult,
@@ -122,8 +122,6 @@ __all__ = [
     # linalg
     "lu_solve",
     "gmres",
-    "dominant_eigpair",
-    "strong_components",
     # solvers
     "SolverOptions",
     "IterRecord",

@@ -8,8 +8,10 @@ Subcommands::
     specrad random  --dims "3,3,3" --density 0.5 --seed 7 [--out PATH]
 
 Exit codes: 0 success/converged, 1 I/O or input errors, 2 iteration cap hit
-or numerical breakdown (partial results are still written), 3 structural
-rejection (the tensor fails strict nonnegativity for the given partition).
+(the full result document and trace are still written) or numerical
+breakdown (only the error message and the structural report are written),
+3 structural rejection (the tensor fails strict nonnegativity for the given
+partition).
 """
 from __future__ import annotations
 

@@ -70,10 +70,6 @@ class SingularMatrix(SpecradError):
     solution."""
 
 
-class NoConvergence(SpecradError):
-    """An iterative kernel exhausted its iteration budget."""
-
-
 class KrylovStalled(SpecradError):
     """GMRES missed its residual tolerance within its iteration cap, or met a
     singular or non-finite system; no inexact solution is returned."""

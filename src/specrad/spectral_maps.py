@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonPositiveInput, OverflowGuard, ZeroNormBlock
-from .linalg import dominant_eigpair
 from .tensor_core import (
     BlockVector,
     CooTensor,
@@ -361,14 +360,30 @@ class HomogeneityData:
 
 
 def homogeneity_data(prob: SpectralProblem) -> HomogeneityData:
+    """Homogeneity data of ``prob`` in closed form around one LAPACK call.
+
+    With ``c_i = p'_i - 1 = 1/(p_i - 1) > 0``, ``A = diag(c) (ones nu^T - I)``
+    and ``b^T A = rho b^T`` read ``b_j (rho + c_j) = nu_j sum_i b_i c_i``, so
+    ``b_j`` is proportional to ``nu_j/(rho + c_j)`` and ``rho`` is the root of
+    the secular equation
+
+        f(rho) = sum_i nu_i c_i/(rho + c_i) - 1 = 0,
+
+    unique on ``rho > -min c_i``, where ``f`` is strictly decreasing.  The
+    root is taken as the largest real part of ``eigvals(A)`` (the Perron
+    root is real and dominates), and ``b > 0`` because ``rho >= 0``.  Since
+    ``c_i/(1 + c_i) = 1/p_i``, ``f(1) = sum(nu_i/p_i) - 1``: ``rho`` lies on
+    the same side of 1 as ``sum(nu_i/p_i)`` by construction.
+    """
     nu = np.asarray(prob.partition.nu, dtype=np.float64)
     pc = np.asarray(prob.p_conj)
-    d = prob.d
-    A = (pc - 1.0)[:, None] * (np.ones((d, d)) * nu[None, :] - np.eye(d))
-    rho, b = dominant_eigpair(A.T)
+    c = pc - 1.0
+    A = c[:, None] * (nu[None, :] - np.eye(prob.d))
+    rho = float(np.linalg.eigvals(A).real.max())
+    b = nu / (rho + c)
+    b /= b.sum()
     S = float(b @ pc)
     gamma = S / (S - 1.0)
-    A = A.copy()
     A.setflags(write=False)
     b.setflags(write=False)
     return HomogeneityData(A=A, rho=rho, b=b, gamma=gamma)

@@ -18,7 +18,6 @@ vertex.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -57,10 +56,12 @@ class AssumptionReport:
 
     ``nu_over_p_exact`` is the exact rational value of ``sum(nu_i/p_i)`` as a
     string when the exponents were given exactly, else ``None``.  ``rho_A``
-    is the Perron root of the homogeneity matrix; its position relative to 1
-    always matches the position of ``nu_over_p`` relative to 1.  ``M_nnz``
-    is the number of distinct arcs of the coupling digraph
-    (= ``count_nonzero(structure_matrix)``).
+    is the Perron root of the homogeneity matrix.  It solves
+    ``sum_i nu_i c_i/(rho + c_i) = 1`` with ``c_i = 1/(p_i - 1)``, whose
+    left side is strictly decreasing in ``rho`` and equals ``nu_over_p`` at
+    ``rho = 1``; so ``rho_A`` sits on the same side of 1 as ``nu_over_p``,
+    up to rounding.  ``M_nnz`` is the number of distinct arcs of the
+    coupling digraph (= ``count_nonzero(structure_matrix)``).
     """
 
     strict_nonneg: bool
@@ -190,25 +191,14 @@ def _side_of_one(s_float: float, s_exact: Fraction | None) -> str:
 def classify_regime(prob: SpectralProblem) -> AssumptionReport:
     """Run both structural checks and classify the homogeneity regime.
 
-    The regime is decided from ``sum(nu_i/p_i)`` directly -- exactly when
-    rational exponents are available, otherwise within ``CRITICAL_TOL`` --
-    and cross-checked against the Perron root of the homogeneity matrix,
-    which must sit on the same side of 1.
+    The regime is decided from ``sum(nu_i/p_i)`` directly: exactly when
+    rational exponents are available, otherwise within ``CRITICAL_TOL``.
+    ``rho_A`` is reported alongside; see :class:`AssumptionReport`.
     """
     strict, weak, m_nnz = _coupling_digraph(prob)
     s_float = prob.nu_over_p
     s_exact = _exact_nu_over_p(prob)
     side = _side_of_one(s_float, s_exact)
-
-    rho = homogeneity_data(prob).rho
-    if abs(rho - 1.0) > 1e-9 and abs(s_float - 1.0) > 1e-9:
-        if (rho - 1.0) * (s_float - 1.0) < 0.0:
-            warnings.warn(
-                "homogeneity Perron root and sum(nu/p) disagree about the "
-                "regime; trusting sum(nu/p)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     if weak and side == "=":
         regime = Regime.WEAKLY_IRR_CRITICAL
@@ -225,6 +215,6 @@ def classify_regime(prob: SpectralProblem) -> AssumptionReport:
         nu_over_p=s_float,
         regime=regime,
         M_nnz=m_nnz,
-        rho_A=rho,
+        rho_A=homogeneity_data(prob).rho,
         nu_over_p_exact=None if s_exact is None else str(s_exact),
     )

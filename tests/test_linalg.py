@@ -1,11 +1,10 @@
-"""Linear-algebra kernels: LU solve, GMRES, dominant eigenpair, strongly
-connected components."""
+"""Linear-algebra kernels: LU solve and GMRES."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import specrad as sr
-from specrad.errors import KrylovStalled, NoConvergence, SingularMatrix
+from specrad.errors import KrylovStalled, SingularMatrix
 
 
 class TestLuSolve:
@@ -94,94 +93,3 @@ class TestGmres:
         with pytest.raises(KrylovStalled):
             gmres_dense(np.eye(2), [np.nan, 1.0])
 
-
-class TestDominantEigpair:
-    def test_cyclic_pattern_converges(self):
-        # plain power iteration oscillates on this matrix; the shift fixes it
-        rho, v = sr.dominant_eigpair(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert_allclose(rho, 1.0, atol=1e-12)
-        assert_allclose(v, [0.5, 0.5], atol=1e-12)
-
-    def test_hollow_ones_3x3(self):
-        A = np.ones((3, 3)) - np.eye(3)
-        rho, v = sr.dominant_eigpair(A)
-        assert_allclose(rho, 2.0, atol=1e-12)
-        assert_allclose(v, np.full(3, 1 / 3), atol=1e-12)
-
-    def test_matches_eigvals_oracle_on_random_small_matrices(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(2, 4))
-            A = rng.uniform(0.1, 2.0, size=(n, n))  # positive => irreducible
-            rho, v = sr.dominant_eigpair(A)
-            assert abs(rho - np.abs(np.linalg.eigvals(A)).max()) < 1e-10
-            assert np.all(v > 0)
-            assert abs(v.sum() - 1.0) < 1e-14
-            assert np.abs(A @ v - rho * v).max() <= 1e-12 * max(1.0, rho)
-
-    def test_one_by_one(self):
-        rho, v = sr.dominant_eigpair([[0.0]])
-        assert rho == 0.0
-        assert_allclose(v, [1.0])
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            sr.dominant_eigpair([[1.0, -0.5], [0.5, 1.0]])
-
-    def test_iteration_budget_exhaustion_raises(self):
-        with pytest.raises(NoConvergence):
-            sr.dominant_eigpair(np.array([[0.0, 2.0], [1.0, 0.0]]), max_iter=1)
-
-
-class TestStrongComponents:
-    def test_directed_cycle_is_one_component(self):
-        adj = [[1], [2], [0]]
-        count, labels = sr.strong_components(adj)
-        assert count == 1
-        assert len(set(labels)) == 1
-
-    def test_chain_has_n_components(self):
-        adj = [[1], [2], []]
-        count, labels = sr.strong_components(adj)
-        assert count == 3
-        assert len(set(labels)) == 3
-
-    def test_matrix_input_uses_positive_pattern(self):
-        M = np.array([[0.0, 2.0], [3.0, 0.0]])
-        count, _ = sr.strong_components(M)
-        assert count == 1
-
-    def test_two_cycles_bridged_one_way(self):
-        # 0<->1 and 2<->3 with a single arc 1->2
-        adj = [[1], [0, 2], [3], [2]]
-        count, labels = sr.strong_components(adj)
-        assert count == 2
-        assert labels[0] == labels[1]
-        assert labels[2] == labels[3]
-        assert labels[0] != labels[2]
-
-    def test_empty_graph(self):
-        count, labels = sr.strong_components([])
-        assert count == 0
-        assert labels == []
-
-    def test_self_loop_only_vertex(self):
-        count, labels = sr.strong_components([[0]])
-        assert count == 1
-
-    def test_matches_bruteforce_reachability(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            n = int(rng.integers(2, 9))
-            M = (rng.random((n, n)) < 0.3).astype(float)
-            count, labels = sr.strong_components(M)
-            # transitive closure oracle
-            R = M > 0
-            R = R | np.eye(n, dtype=bool)
-            for _ in range(n):
-                R = R | (R @ R)
-            same = R & R.T
-            # vertices u,v share a component iff mutually reachable
-            for u in range(n):
-                for v in range(n):
-                    assert (labels[u] == labels[v]) == bool(same[u, v])

@@ -1,7 +1,11 @@
 """Ratio map, constraint surface, Newton system blocks, power map,
 homogeneity weights, Collatz-Wielandt bounds, and log-domain maps."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import specrad as sr
@@ -298,6 +302,35 @@ class TestHomogeneityData:
         # the weights (gamma-1) b_i (p'_i - 1) always sum to one
         w = (hd.gamma - 1.0) * hd.b * (np.asarray(prob.p_conj) - 1.0)
         assert abs(w.sum() - 1.0) < 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        nu=st.lists(st.integers(1, 4), min_size=1, max_size=6).map(sorted),
+        log_p=st.lists(
+            st.floats(math.log(1.001), math.log(1000.0)), min_size=6, max_size=6
+        ),
+    )
+    def test_positive_eigenvector_certifies_perron_pair(self, nu, log_p):
+        # Only nu and p enter the homogeneity data, so a one-entry tensor
+        # with unit dimensions carries any partition.  By Perron-Frobenius a
+        # positive eigenvector of the irreducible A^T belongs to its Perron
+        # root, so b > 0 plus a small residual certifies the pair.
+        order = sum(nu)
+        tensor = sr.CooTensor((1,) * order, [(0,) * order], [1.0])
+        ends = np.cumsum(nu)
+        blocks = [list(range(e - k, e)) for k, e in zip(nu, ends)]
+        prob = sr.make_problem(tensor, blocks, np.exp(log_p[: len(nu)]).tolist())
+        hd = sr.homogeneity_data(prob)
+        assert np.all(hd.b > 0)
+        assert abs(hd.b.sum() - 1.0) <= 1e-15
+        assert np.abs(hd.A.T @ hd.b - hd.rho * hd.b).max() <= 1e-13 * max(1.0, hd.rho)
+        w = (hd.gamma - 1.0) * hd.b * (np.asarray(prob.p_conj) - 1.0)
+        assert abs(w.sum() - 1.0) < 1e-12
+        # f(1) = sum(nu/p) - 1 for the decreasing secular function f, so rho
+        # and sum(nu/p) sit on the same side of 1
+        s = prob.nu_over_p
+        if abs(s - 1.0) > 1e-12:
+            assert np.sign(hd.rho - 1.0) == np.sign(s - 1.0)
 
     def test_rho_side_of_one_matches_nu_over_p(self, nine_problem):
         prob, _ = nine_problem

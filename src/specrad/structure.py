@@ -12,9 +12,12 @@ when the combination is unsupported.
 Both checks run on the coupling digraph, built straight from the tensor's
 positive entries without forming the dense structure matrix: its arcs are
 that matrix's positive entries, and ``M_nnz`` is the number of distinct arcs
-of the coupling digraph (= ``count_nonzero(structure_matrix)``).  Strong
-connectivity is a forward and a backward breadth-first search from one
-vertex.
+of the coupling digraph (= ``count_nonzero(structure_matrix)``).  An arc
+``row -> col`` is coded ``row << shift | col`` in int32 when every code
+fits, else in int64, sorted, deduplicated, and split back by shift and
+mask; out-degrees and CSR pointers come from ``bincount``.
+Strong connectivity is a forward and a backward breadth-first search from
+one vertex, each stopping as soon as all vertices are seen.
 """
 from __future__ import annotations
 
@@ -103,20 +106,29 @@ def _distinct(sorted_codes: np.ndarray) -> np.ndarray:
     return sorted_codes[keep]
 
 
-def _reaches_all(tails: np.ndarray, heads: np.ndarray, n: int) -> bool:
-    """True when a breadth-first search from vertex 0 along the arcs
-    ``tails[k] -> heads[k]`` (sorted by tail) visits all ``n`` vertices.
-    Each level costs O(arcs leaving its frontier), so a long path is cheap."""
-    first = np.searchsorted(tails, np.arange(n + 1))
+def _reaches_all(deg: np.ndarray, heads: np.ndarray, n: int) -> bool:
+    """True when a breadth-first search from vertex 0 visits all ``n``
+    vertices.  ``deg[v]`` is the out-degree of ``v`` and ``heads`` lists the
+    arc heads grouped by tail in vertex order (CSR).  Each level costs
+    O(arcs leaving its frontier), so a long path is cheap, and the search
+    stops as soon as every vertex is seen."""
+    first = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(deg, out=first[1:])
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    front = np.zeros(1, dtype=np.int64)
+    slot = np.empty(n, dtype=np.intp)
+    front = np.zeros(1, dtype=np.intp)
     count = 1
-    while front.size:
-        lo, deg = first[front], first[front + 1] - first[front]
-        arcs = np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
+    while front.size and count < n:
+        lo, d = first[front], deg[front]
+        arcs = np.repeat(lo - (np.cumsum(d) - d), d) + np.arange(d.sum())
         front = heads[arcs]
-        front = _distinct(np.sort(front[~seen[front]]))
+        front = front[~seen[front]]
+        # Deduplicate: of the positions holding one vertex, exactly one is
+        # the position the last write to its slot left there.
+        k = np.arange(front.size)
+        slot[front] = k
+        front = front[slot[front] == k]
         seen[front] = True
         count += front.size
     return count == n
@@ -129,30 +141,46 @@ def _coupling_digraph(prob: SpectralProblem) -> tuple[bool, bool, int]:
     Each entry with a positive value gives, for every block ``i`` with
     leading mode ``s`` and every other mode ``q``, the arc
     ``offs[i] + e[s] -> offs[mode_block[q]] + e[q]``: exactly the positive
-    entries of the structure matrix.  Arcs are coded ``row * N + col`` and
-    deduplicated by sorting.
+    entries of the structure matrix.  Arcs are coded ``row << shift | col``
+    in int32 when every code fits, else in int64, and deduplicated by
+    sorting.
     """
     part = prob.partition
     n = part.total_dim
-    idx = prob.tensor.indices[prob.tensor.values > 0.0]
-    offs, mb = part.offsets, part.mode_block
-    codes = [
-        (offs[i] + idx[:, s]) * n + (offs[mb[q]] + idx[:, q])
-        for i, s in enumerate(part.starts)
-        for q in range(part.order)
-        if q != s
-    ]
-    arcs = _distinct(np.sort(np.concatenate(codes))) if codes else np.empty(0, np.int64)
-    tails, heads = np.divmod(arcs, n)
-    strict = _distinct(tails).size == n
+    tensor = prob.tensor
+    shift = (n - 1).bit_length()
+    mask = (1 << shift) - 1
+    # int8 and int16 codes would page in numpy kernels that nothing else
+    # uses (about 0.4 MB resident), more than such small arrays save
+    top = (n - 1) << shift | (n - 1)
+    dt = np.int32 if top <= np.iinfo(np.int32).max else np.int64
+    positive = tensor.values > 0.0
+    keep = slice(None) if positive.all() else positive
+    vert = []
+    for q, i in enumerate(part.mode_block):
+        v = tensor.indices[keep, q].astype(dt)
+        v += part.offsets[i]
+        vert.append(v)
+    pairs = [(s, q) for s in part.starts for q in range(part.order) if q != s]
+    nz = vert[0].size
+    codes = np.empty(len(pairs) * nz, dtype=dt)
+    for j, (s, q) in enumerate(pairs):
+        np.bitwise_or(vert[s] << shift, vert[q], out=codes[j * nz:(j + 1) * nz])
+    codes.sort()
+    arcs = _distinct(codes)
+    tails, heads = arcs >> shift, arcs & mask
+    deg = np.bincount(tails, minlength=n)
+    strict = bool(deg.all())
     # Strong connectivity on two or more vertices gives every vertex an
     # out-arc, and one vertex counts as irreducible only with its self-loop,
     # so ``strict`` is necessary either way; then G and its transpose must
     # both be reached from vertex 0.
     weak = (
         strict
-        and _reaches_all(tails, heads, n)
-        and _reaches_all(*np.divmod(np.sort(heads * n + tails), n), n)
+        and _reaches_all(deg, heads, n)
+        and _reaches_all(
+            np.bincount(heads, minlength=n), np.sort(heads << shift | tails) & mask, n
+        )
     )
     return strict, weak, int(arcs.size)
 

@@ -11,7 +11,9 @@ them.
 
 Indices are zero-based everywhere in memory.  The one-based convention used
 by tensor files and the command line is translated at the I/O boundary only
-(see :mod:`specrad.tensor_io`).
+(see :mod:`specrad.tensor_io`).  :attr:`CooTensor.indices` is column-major
+(Fortran order), so the kernels' per-mode gathers ``indices[:, q]`` read
+contiguous memory.
 """
 from __future__ import annotations
 
@@ -53,6 +55,8 @@ class CooTensor:
         Dimension of each mode, ``m`` positive integers.
     indices:
         Integer array of shape ``(nnz, m)``; zero-based multi-indices.
+        Stored column-major (Fortran order) and read-only, whatever the
+        layout supplied.
     values:
         Nonnegative entry values, shape ``(nnz,)``.
 
@@ -129,12 +133,13 @@ def _canonical(idx: np.ndarray, vals: np.ndarray):
 
     Rows already in strictly increasing order (files written by
     :func:`~specrad.tensor_io.write_tensor` are) skip the sort; ``+ 0.0``
-    turns a ``-0.0`` into ``+0.0`` as the summation would.
+    turns a ``-0.0`` into ``+0.0`` as the summation would.  The index copy
+    returned is column-major.
     """
     step = np.diff(idx, axis=0)
     lead = step[np.arange(step.shape[0]), (step != 0).argmax(axis=1)]
     if np.all(lead > 0):
-        return idx.copy(), vals + 0.0
+        return np.array(idx, order="F"), vals + 0.0
     return _lexsort_canonical(idx, vals)
 
 
@@ -151,7 +156,9 @@ def _lexsort_canonical(idx: np.ndarray, vals: np.ndarray):
     first = np.empty(vals.size, dtype=bool)
     first[:1] = True
     np.any(idx[1:] != idx[:-1], axis=1, out=first[1:])
-    return idx[first], np.bincount(np.cumsum(first) - 1, weights=vals)
+    merged = np.bincount(np.cumsum(first) - 1, weights=vals)
+    # compress writes a fresh C-order (m, k) array: its transpose is F-order
+    return idx.T.compress(first, axis=1).T, merged
 
 
 @dataclass(frozen=True)
@@ -408,10 +415,28 @@ def grad_component(tensor: CooTensor, mode: int, zs) -> np.ndarray:
 def gradient_map(prob, x: BlockVector) -> BlockVector:
     """Blockwise gradient map: block ``i`` is the partial gradient of the
     multilinear form at the lifted vector, taken at the leading mode of block
-    ``i``.  Defined for every ``x`` (no positivity required)."""
+    ``i``.  Defined for every ``x`` (no positivity required).
+
+    Each mode's factor ``f_q = x[e_q]`` is gathered once per call.  Block
+    ``i`` with leading mode ``s`` weighs entry ``e`` by the running prefix
+    ``v * f_0 * ... * f_{s-1}`` times ``f_{s+1} * ... * f_{m-1}``, multiplied
+    left to right as :func:`grad_component` does, so every block equals
+    ``grad_component(tensor, s, lift(x))`` bit for bit.
+    """
     part = prob.partition
-    zs = lift(x, part)
-    return BlockVector([grad_component(prob.tensor, s, zs) for s in part.starts])
+    idx = prob.tensor.indices
+    fac = [z[idx[:, q]] for q, z in enumerate(lift(x, part))]
+    lead, done = prob.tensor.values, 0
+    blocks = []
+    for s, n in zip(part.starts, part.block_dims):
+        for f in fac[done:s]:
+            lead = lead * f
+        done = s
+        w = lead
+        for f in fac[s + 1:]:
+            w = w * f
+        blocks.append(np.bincount(idx[:, s], weights=w, minlength=n))
+    return BlockVector(blocks)
 
 
 def _jacobian_triplets(prob, x: BlockVector):

@@ -8,6 +8,7 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import specrad as sr
 
@@ -89,6 +90,34 @@ def ring_cube(n: int, seed: int, scale: float = 1.0) -> sr.CooTensor:
     )
     idx = np.unique(np.concatenate([drawn, ring]), axis=0)
     return sr.CooTensor((n,) * 3, idx, scale * (1.0 - rng.random(idx.shape[0])))
+
+
+@st.composite
+def block_problems(draw, max_block_dim=3, values=st.sampled_from([0.0, 0.5, 1.0, 3.0])):
+    """Order 2-4 tensors over every partition shape, block dims 1 to
+    ``max_block_dim``, with up to 30 entries drawn from ``values`` (possibly
+    none stored, or all of them 0.0 when ``values`` holds it)."""
+    order = draw(st.integers(2, 4))
+    # nondecreasing block sizes summing to the order; a remainder smaller
+    # than the block just drawn is merged into it
+    sizes, left = [], order
+    while left:
+        k = draw(st.integers(sizes[-1] if sizes else 1, left))
+        if left - k and left - k < k:
+            k = left
+        sizes.append(k)
+        left -= k
+    block_dims = [draw(st.integers(1, max_block_dim)) for _ in sizes]
+    dims = [n for n, k in zip(block_dims, sizes) for _ in range(k)]
+    entries = draw(st.lists(
+        st.tuples(st.tuples(*(st.integers(0, n - 1) for n in dims)), values),
+        max_size=30,
+    ))
+    idx = np.array([e for e, _ in entries], dtype=np.int64).reshape(-1, order)
+    tensor = sr.CooTensor(dims, idx, [v for _, v in entries])
+    starts = np.cumsum([0] + sizes)
+    blocks = [list(range(a, b)) for a, b in zip(starts[:-1], starts[1:])]
+    return sr.make_problem(tensor, blocks, ["3"] * len(sizes))
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,19 @@ class TestPowerIteration:
         assert not res.converged
         assert res.iterations == 3
 
+    def test_large_solve_peak_memory(self):
+        # N = 6000, nnz = 64,000: the structure check and the gradient map
+        # together peak near 12 MB
+        prob = sr.make_problem(ring_cube(2000, 0), SINGLETONS, ["3", "3", "3"])
+        tracemalloc.start()
+        try:
+            res = sr.power_iteration(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 16e6
+
 
 class TestSolveDispatcher:
     def test_dispatches_by_method(self, ref_tensor):

@@ -5,13 +5,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import specrad as sr
 from specrad.structure import CRITICAL_TOL
 
-from conftest import NINE_CONFIGS, config_id
+from conftest import NINE_CONFIGS, block_problems, config_id
 
 
 @pytest.fixture(params=NINE_CONFIGS, ids=config_id)
@@ -247,36 +246,6 @@ class TestClassifyRegime:
         assert d["nu_over_p_exact"] == "1"
 
 
-@st.composite
-def block_problems(draw):
-    """Order 2-4 tensors over every partition shape, block dims from 1, with
-    some stored entries equal to 0.0 (possibly all of them, or none stored)."""
-    order = draw(st.integers(2, 4))
-    # nondecreasing block sizes summing to the order; a remainder smaller
-    # than the block just drawn is merged into it
-    sizes, left = [], order
-    while left:
-        k = draw(st.integers(sizes[-1] if sizes else 1, left))
-        if left - k and left - k < k:
-            k = left
-        sizes.append(k)
-        left -= k
-    block_dims = [draw(st.integers(1, 3)) for _ in sizes]
-    dims = [n for n, k in zip(block_dims, sizes) for _ in range(k)]
-    entries = draw(st.lists(
-        st.tuples(
-            st.tuples(*(st.integers(0, n - 1) for n in dims)),
-            st.sampled_from([0.0, 0.5, 1.0, 3.0]),
-        ),
-        max_size=30,
-    ))
-    idx = np.array([e for e, _ in entries], dtype=np.int64).reshape(-1, order)
-    tensor = sr.CooTensor(dims, idx, [v for _, v in entries])
-    starts = np.cumsum([0] + sizes)
-    blocks = [list(range(a, b)) for a, b in zip(starts[:-1], starts[1:])]
-    return sr.make_problem(tensor, blocks, ["3"] * len(sizes))
-
-
 def reaches_everywhere(adj):
     """Transitive-closure oracle: boolean squaring of ``adj | I`` until it
     stops changing gives the reachability relation; the digraph is
@@ -335,6 +304,23 @@ class TestSparseCouplingDigraph:
 
         whole = report(np.concatenate([cycle, loops]))
         assert whole.weakly_irreducible and whole.M_nnz == 2 * n
+        cut = report(np.concatenate([np.delete(cycle, 4321, axis=0), loops]))
+        assert cut.strict_nonneg and not cut.weakly_irreducible
+        assert cut.M_nnz == 2 * n - 1
+
+    def test_cycle_past_the_int32_code_range(self):
+        # N = 50,000: row * N + col reaches 2.5e9, beyond int32
+        n = 50_000
+        t = np.arange(n)
+        cycle = np.stack([t, (t + 1) % n], axis=1)
+        loops = np.stack([t, t], axis=1)
+
+        def report(idx):
+            tensor = sr.CooTensor((n, n), idx, np.ones(len(idx)))
+            return sr.classify_regime(sr.make_problem(tensor, [[0, 1]], ["2"]))
+
+        whole = report(cycle)
+        assert whole.weakly_irreducible and whole.M_nnz == n
         cut = report(np.concatenate([np.delete(cycle, 4321, axis=0), loops]))
         assert cut.strict_nonneg and not cut.weakly_irreducible
         assert cut.M_nnz == 2 * n - 1

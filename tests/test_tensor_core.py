@@ -20,6 +20,7 @@ from specrad.errors import (
 from specrad.tensor_core import _canonical, _jacobian_triplets, _lexsort_canonical
 
 from conftest import (
+    block_problems,
     dense_from_coo,
     fd_grad,
     fd_jacobian,
@@ -67,6 +68,30 @@ class TestCooTensor:
             t.dims = (2, 2, 2)
         with pytest.raises(ValueError):
             t.values[0] = 7.0
+
+    def test_indices_are_column_major_and_read_only_however_built(self):
+        dims = (3, 4, 2)
+        t = sr.tensor_io.random_tensor(dims, density=0.5, seed=1)
+        idx, vals = np.ascontiguousarray(t.indices), np.array(t.values)
+        perm = np.random.default_rng(0).permutation(t.nnz)
+        text = sr.write_tensor(t)
+        built = {
+            "random_tensor": t,
+            "sorted arrays": sr.CooTensor(dims, idx, vals),
+            "shuffled arrays": sr.CooTensor(dims, idx[perm], vals[perm]),
+            "duplicated arrays": sr.CooTensor(
+                dims, np.concatenate([idx[perm], idx]), np.concatenate([vals[perm], vals]) / 2
+            ),
+            "lists": sr.CooTensor(dims, idx.tolist(), vals.tolist()),
+            "bulk parse": sr.parse_tensor(text),
+            # non-ASCII text takes the per-line parser
+            "per-line parse": sr.parse_tensor("# naïve\n" + text),
+        }
+        assert t.nnz > 1 and idx.flags.c_contiguous
+        for how, u in built.items():
+            assert u.indices.flags.f_contiguous, how
+            assert not u.indices.flags.writeable, how
+            assert u == t and hash(u) == hash(t), how
 
 
 @st.composite
@@ -304,7 +329,28 @@ class TestLift:
             sr.lift(sr.BlockVector([[1.0, 2.0], [1.0, 2.0, 3.0]]), part)
 
 
+def exponent_spread_values():
+    """Exact zeros, and magnitudes from 1e-150 to 1e150."""
+    spread = st.tuples(st.floats(1.0, 10.0), st.integers(-150, 149)).map(
+        lambda me: me[0] * 10.0 ** me[1]
+    )
+    return st.one_of(st.just(0.0), spread)
+
+
 class TestGradientMap:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(prob=block_problems(max_block_dim=4, values=exponent_spread_values()), data=st.data())
+    def test_is_the_stack_of_grad_components_bit_for_bit(self, prob, data):
+        x = sr.BlockVector([
+            data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+            for n in prob.partition.block_dims
+        ])
+        zs = sr.lift(x, prob.partition)
+        ref = np.concatenate(
+            [sr.grad_component(prob.tensor, s, zs) for s in prob.partition.starts]
+        )
+        G = sr.gradient_map(prob, x).flat
+        assert np.array_equal(G, ref) and G.tobytes() == ref.tobytes()
     def test_single_block_components(self, ref_tensor):
         # G_1 = 2 x1 x3, G_2 = x1 x2 + x2^2, G_3 = x1 x2 for the bundled tensor
         prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])

@@ -6,6 +6,8 @@ matrix and so never forms it.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import KrylovStalled, SingularMatrix
@@ -66,10 +68,10 @@ def gmres(matvec, b, precond, *, rtol: float, restart: int, max_iter: int) -> np
         m = min(restart, max_iter - used)
         V = np.empty((m + 1, b.size))
         R = np.zeros((m + 1, m))
-        rot = np.zeros((m, 2))
-        g = np.zeros(m + 1)
+        rot = []
+        # the column, its rotations and g are Python floats, not numpy scalars
+        g = [beta] + [0.0] * m
         V[0] = r / beta
-        g[0] = beta
         for j in range(m):
             w = matvec(precond * V[j])
             if not np.all(np.isfinite(w)):
@@ -78,15 +80,15 @@ def gmres(matvec, b, precond, *, rtol: float, restart: int, max_iter: int) -> np
                 h = V[: j + 1] @ w
                 w -= h @ V[: j + 1]
                 R[: j + 1, j] += h
-            R[j + 1, j] = hn = float(np.linalg.norm(w))
-            for i, (c, s) in enumerate(rot[:j]):
-                R[i, j], R[i + 1, j] = c * R[i, j] + s * R[i + 1, j], c * R[i + 1, j] - s * R[i, j]
-            rr = np.hypot(R[j, j], R[j + 1, j])
-            if not np.isfinite(rr) or rr == 0.0:
+            col, hn = R[: j + 1, j].tolist(), float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rot):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rr = math.hypot(col[j], hn)
+            if not math.isfinite(rr) or rr == 0.0:
                 raise KrylovStalled("GMRES met a singular or non-finite Krylov system")
-            rot[j] = R[j, j] / rr, R[j + 1, j] / rr
-            R[j, j], R[j + 1, j] = rr, 0.0
-            g[j], g[j + 1] = rot[j, 0] * g[j], -rot[j, 1] * g[j]
+            rot.append((col[j] / rr, hn / rr))
+            R[:j, j], R[j, j] = col[:j], rr
+            g[j], g[j + 1] = rot[j][0] * g[j], -rot[j][1] * g[j]
             used += 1
             if abs(g[j + 1]) <= target or j + 1 == m:
                 break

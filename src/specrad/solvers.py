@@ -10,9 +10,10 @@ Two methods share the same stopping rule and trace format:
     quadratic tail on problems passing the structural checks.  Up to
     ``_DENSE_MAX_N`` unknowns a step costs one dense factorization of the
     bordered matrix; above it, restarted GMRES solves the bordered system
-    from products with the sparse Jacobian entries, to a relative residual
-    of ``_KRYLOV_RTOL``, so no N x N matrix is formed.  A GMRES that misses
-    that tolerance raises ``KrylovStalled`` instead of taking an inexact step.
+    from products with the Jacobian in factored form (one gather per mode,
+    one scatter per block), to a relative residual of ``_KRYLOV_RTOL``, so
+    no N x N matrix is formed.  A GMRES that misses that tolerance raises
+    ``KrylovStalled`` instead of taking an inexact step.
 
 ``power_iteration``
     Normalized fixed-point iteration of the power map.  Linearly convergent
@@ -181,10 +182,11 @@ def newton_step(prob: SpectralProblem, x: BlockVector, lam: float):
     return BlockVector.from_flat(d, x.lengths), delta
 
 
-#: Largest N solved by a dense factorization.  Below about N = 250 the
-#: dense solve is faster (10 against 12 ms a solve at N = 210); above, GMRES
-#: on the matrix-free operator is (16 against 38 ms at N = 390, 20 against
-#: 68 ms at N = 600), and it needs no (N+1)^2 matrix.
+#: Largest N solved by a dense factorization.  Below about N = 225 the
+#: dense solve is faster (6.9 against 11.9 ms a solve at N = 150, 12.0
+#: against 13.1 ms at N = 210); above, GMRES on the matrix-free operator is
+#: (19.2 against 16.0 ms at N = 270, 24.4 against 16.7 ms at N = 300, 37.8
+#: against 17.5 ms at N = 390), and it needs no (N+1)^2 matrix.
 _DENSE_MAX_N = 300
 #: GMRES tolerance on the equilibrated residual; a solve this tight keeps the
 #: Newton tail quadratic.  Steps took 13-25 inner iterations in every regime

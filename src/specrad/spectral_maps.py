@@ -27,7 +27,7 @@ from .tensor_core import (
     BlockVector,
     CooTensor,
     ShapePartition,
-    _jacobian_triplets,
+    _jacobian_weights,
     conform,
     gradient_map,
     gradient_map_jacobian,
@@ -282,22 +282,43 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
     its residual rows scaled by ``1/lam`` and its last unknown ``delta/lam``,
     so the system it poses is the same at every scale of the tensor:
     ``J v / lam + x * t`` over ``g . v``, where ``J v = (lam + (p-2) * phi)
-    * v - x**(2-p) * DG v`` with ``DG`` applied from its triplets.  ``diag``
-    is the scaled diagonal of that Jacobian block and ``g`` the border row,
-    the constraint gradient.
+    * v - x**(2-p) * DG v``.  ``DG v`` is applied from the factored weights
+    of :func:`~specrad.tensor_core._jacobian_weights`: each mode's
+    ``v[e_q]`` is gathered once, each block sums its weighted gathers and
+    scatters them over its leading mode with one ``bincount``.  ``diag`` is
+    ``(lam + (p-2) * phi) / lam``, the scaled diagonal of that Jacobian block
+    less the part from ``DG``, which is zero unless a block has more than one
+    mode; ``g`` is the border row, the constraint gradient.
     """
-    rows, cols, w = _jacobian_triplets(prob, x)
+    part = prob.partition
+    idx = prob.tensor.indices
+    span = [slice(o, o + nb) for o, nb in zip(part.offsets, part.block_dims)]
+    # per block: its rows of DG v, its leading-mode indices and its weights;
+    # a block with no other mode (an order-1 tensor) adds nothing to DG v
+    blocks = [
+        (span[i], idx[:, s], pairs)
+        for i, (s, pairs) in enumerate(zip(part.starts, _jacobian_weights(prob, x)))
+        if pairs
+    ]
+    gather = {q: (span[part.mode_block[q]], idx[:, q]) for *_, pairs in blocks for q, _ in pairs}
     pe = prob._p_flat
     xf = x.flat
     n = xf.size
     diag = (lam + (pe - 2.0) * phi) / lam
-    w = w * (xf ** (2.0 - pe) / lam)[rows]
+    scale = xf ** (2.0 - pe) / lam
     g = _norm_product_grad(prob, x)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         d = v[:n]
+        vq = {q: d[cols][at] for q, (cols, at) in gather.items()}
+        DGv = np.zeros(n)
+        for rows, lead, ((q, w), *rest) in blocks:
+            t = w * vq[q]
+            for q, w in rest:
+                t += w * vq[q]
+            DGv[rows] = np.bincount(lead, weights=t, minlength=rows.stop - rows.start)
         out = np.empty(n + 1)
-        out[:n] = diag * d - np.bincount(rows, weights=w * d[cols], minlength=n) + xf * v[n]
+        out[:n] = diag * d - scale * DGv + xf * v[n]
         out[n] = g @ d
         return out
 

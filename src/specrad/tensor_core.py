@@ -4,10 +4,10 @@ A tensor of order ``m`` is stored in coordinate (COO) form.  A *shape
 partition* groups the modes into contiguous blocks of equal dimension, and a
 :class:`BlockVector` holds one vector per block.  The contraction kernels in
 this module evaluate the multilinear form, its blockwise partial gradients,
-and the Jacobian of the gradient map, either as its unsummed sparse entries
-``(rows, cols, w)`` or scattered from them into a dense matrix; everything
-downstream (ratio maps, Newton systems, structure checks) is built on top of
-them.
+and the Jacobian of the gradient map, either factored as one weight per stored
+entry for each block and other mode, or scattered from those weights into a
+dense matrix; everything downstream (ratio maps, Newton systems, structure
+checks) is built on top of them.
 
 Indices are zero-based everywhere in memory.  The one-based convention used
 by tensor files and the command line is translated at the I/O boundary only
@@ -18,6 +18,7 @@ contiguous memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -439,6 +440,35 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     return BlockVector(blocks)
 
 
+def _jacobian_weights(prob, x: BlockVector):
+    """The gradient-map Jacobian at ``x`` in factored form.
+
+    Returns one tuple per block ``i`` with leading mode ``s``, holding a pair
+    ``(q, w)`` for each other mode ``q`` in mode order: entry ``e`` puts
+    ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of block ``i`` and
+    column ``e_q`` of the block owning mode ``q``.  ``prefix`` multiplies
+    ``x[e_r]`` over the other modes ``r`` before ``q`` in mode order, and
+    ``suffix`` over those after ``q`` from the last mode back.  Cost is
+    ``O(nnz * m^2)``.
+    """
+    part = prob.partition
+    idx = prob.tensor.indices
+    fac = [z[idx[:, q]] for q, z in enumerate(lift(x, part))]
+
+    def times(w, modes):
+        # w times the product of fac over modes, multiplied in the order given
+        return w * reduce(np.multiply, [fac[r] for r in modes]) if modes else w
+
+    blocks = []
+    for s in part.starts:
+        others = [q for q in range(part.order) if q != s]
+        blocks.append(tuple(
+            (q, times(times(prob.tensor.values, others[:j]), others[:j:-1]))
+            for j, q in enumerate(others)
+        ))
+    return blocks
+
+
 def _jacobian_triplets(prob, x: BlockVector):
     """Entries of the gradient-map Jacobian at ``x`` as ``(rows, cols, w)``.
 
@@ -446,38 +476,17 @@ def _jacobian_triplets(prob, x: BlockVector):
     repeats once per stored entry and mode pair that reaches it, and the
     repeats are left unsummed.  The order is block by block, then mode by
     mode, then entry by entry, so summing in array order gives the dense
-    Jacobian bit for bit.  Cost is ``O(nnz * m^2)``.
+    Jacobian bit for bit.  The weights are :func:`_jacobian_weights`.
     """
     part = prob.partition
-    tensor = prob.tensor
-    conform(part, x)
-    idx = tensor.indices
-    vals = tensor.values
-    m = part.order
-    zs = lift(x, part)
-    fac = [zs[q][idx[:, q]] for q in range(m)]
-    offs = part.offsets
-    mb = part.mode_block
-    nnz = tensor.nnz
-    rows, cols, w = [], [], []
-    for i, s in enumerate(part.starts):
-        row = offs[i] + idx[:, s]
-        others = [q for q in range(m) if q != s]
-        k = len(others)
-        # prefix[j] = prod of fac[others[:j]], suffix[j] = prod of fac[others[j:]]
-        prefix = np.ones((k + 1, nnz))
-        for j, q in enumerate(others):
-            prefix[j + 1] = prefix[j] * fac[q]
-        suffix = np.ones((k + 1, nnz))
-        for j in range(k - 1, -1, -1):
-            suffix[j] = suffix[j + 1] * fac[others[j]]
-        for j, q in enumerate(others):
-            rows.append(row)
+    idx = prob.tensor.indices
+    offs, mb = part.offsets, part.mode_block
+    rows, cols, w = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for i, (s, pairs) in enumerate(zip(part.starts, _jacobian_weights(prob, x))):
+        for q, wq in pairs:
+            rows.append(offs[i] + idx[:, s])
             cols.append(offs[mb[q]] + idx[:, q])
-            w.append(vals * prefix[j] * suffix[j + 1])
-    if not w:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0)
+            w.append(wq)
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(w)
 
 
@@ -485,8 +494,10 @@ def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
     """Dense Jacobian of :func:`gradient_map` at ``x``.
 
     Row block ``i`` / column block ``l`` holds the derivative of gradient
-    block ``i`` with respect to the variables of block ``l``.  Cost is
-    ``O(nnz * m^2)`` plus the dense accumulation.
+    block ``i`` with respect to the variables of block ``l``.  The weights
+    of :func:`_jacobian_weights` are expanded to their coordinates and
+    summed in order by one ``bincount``.  Cost is ``O(nnz * m^2)`` plus the
+    dense accumulation.
     """
     n = prob.partition.total_dim
     rows, cols, w = _jacobian_triplets(prob, x)

@@ -625,6 +625,19 @@ class TestKrylovNewton:
         assert res.converged
         assert peak < 60e6
 
+    def test_large_solve_keeps_no_jacobian_triplets(self):
+        # N = 6000: holding the 6 * nnz expanded Jacobian entries, as the
+        # product once did, took the peak to 21.8 MB
+        prob = sr.make_problem(ring_cube(2000, 0), SINGLETONS, ["4", "4", "4"])
+        tracemalloc.start()
+        try:
+            res = sr.newton_noda(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 16e6
+
 
 class TestSingularValueKnownAnswer:
     """For a nonnegative matrix with partition ``1;2`` and p = 2,2 the

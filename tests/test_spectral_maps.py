@@ -10,8 +10,9 @@ from numpy.testing import assert_allclose
 
 import specrad as sr
 from specrad.errors import NonPositiveInput, OverflowGuard, ZeroNormBlock
+from specrad.spectral_maps import _bordered_operator, _newton_matrix, _residual_jacobian
 
-from conftest import bv, fd_grad, fd_jacobian, random_positive, rel_err
+from conftest import block_problems, bv, fd_grad, fd_jacobian, random_positive, rel_err
 
 
 def pinv_otimes(prob, x):
@@ -232,6 +233,34 @@ class TestEigenSystem:
             r = sr.eigen_residual(prob, x, lam)
             rhs = (1.0 - s) * phi.flat * x.flat + pinv_otimes(prob, r)
             assert rel_err(J @ pinv_otimes(prob, x), rhs) < 1e-10
+
+
+class TestBorderedOperator:
+    """The matrix-free Newton product is the bordered Newton matrix with its
+    residual rows scaled by ``1/lam`` and its last unknown by ``lam``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(prob=block_problems(), seed=st.integers(0, 10**6), lam=st.floats(0.1, 10.0))
+    def test_is_the_scaled_newton_matrix(self, prob, seed, lam):
+        rng = np.random.default_rng(seed)
+        x = random_positive(prob, rng)
+        phi = sr.ratio_map(prob, x).flat
+        n = x.flat.size
+        matvec, diag, g = _bordered_operator(prob, x, phi, lam)
+        DH = _newton_matrix(prob, x, phi, lam)
+        v = rng.standard_normal(n + 1)
+        rows = np.append(np.full(n, 1.0 / lam), 1.0)
+        cols = np.append(np.ones(n), lam)
+        assert rel_err(matvec(v), rows * (DH @ (cols * v))) <= 1e-13
+        # diag leaves out the gradient map's own diagonal, which is zero
+        # unless a block has more than one mode
+        pe = prob._p_flat
+        DG = sr.gradient_map_jacobian(prob, x)
+        J = _residual_jacobian(prob, x, phi, lam)
+        assert rel_err(diag, (np.diag(J) + x.flat ** (2.0 - pe) * np.diag(DG)) / lam) <= 1e-13
+        if max(prob.partition.nu) == 1:
+            assert np.array_equal(np.diag(DG), np.zeros(n))
+        assert np.array_equal(g, DH[n, :n])
 
 
 class TestPowerMap:

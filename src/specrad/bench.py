@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .solvers import SolverOptions, newton_noda, power_iteration
+from .solvers import SolverOptions, solve
 from .spectral_maps import make_problem
 from .structure import _side_of_one
 from .tensor_core import CooTensor
@@ -77,12 +77,11 @@ BENCH_CASES: tuple[BenchCase, ...] = (
 
 def _run_case(case: BenchCase, method: str, tol: float, max_iter: int) -> dict:
     prob = make_problem(reference_tensor(), case.blocks, case.p)
-    opts = SolverOptions(tol=tol, max_iter=max_iter, method=method)
-    solver = power_iteration if method == "power" else newton_noda
+    opts = SolverOptions(tol=tol, max_iter=max_iter)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        result = solver(prob, opts=opts)
+        result = solve(prob, opts=opts, method=method)
     wall = time.perf_counter() - t0
     exact = result.regime.nu_over_p_exact
     mark = _side_of_one(
@@ -122,8 +121,8 @@ def _run_case(case: BenchCase, method: str, tol: float, max_iter: int) -> dict:
 
 def run_benchmark(
     methods: tuple[str, ...] = ("lsnnm", "power"),
-    tol: float = 1e-12,
-    max_iter: int = 500,
+    tol: float = SolverOptions.tol,
+    max_iter: int = SolverOptions.max_iter,
 ) -> list[dict]:
     """Solve all nine configurations with each method, one after another.
 

@@ -81,10 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="compute the positive eigenpair")
     add_problem_args(sp)
     sp.add_argument("--method", choices=("lsnnm", "power"), default="lsnnm")
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--max-iter", type=int, default=500)
-    sp.add_argument("--armijo-c", type=float, default=1e-2)
-    sp.add_argument("--rho", type=float, default=0.5)
+    sp.add_argument("--tol", type=float, default=SolverOptions.tol)
+    sp.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
+    sp.add_argument("--armijo-c", type=float, default=SolverOptions.armijo_c)
+    sp.add_argument("--rho", type=float, default=SolverOptions.backtrack_rho)
     sp.add_argument("--json", dest="json_path", help="write result JSON here")
     sp.add_argument("--trace", dest="trace_path", help="write per-iteration CSV here")
 
@@ -94,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bp = sub.add_parser("bench", help="run the built-in benchmark suite")
     bp.add_argument("--json", dest="json_path", help="write case results here")
-    bp.add_argument("--tol", type=float, default=1e-12)
-    bp.add_argument("--max-iter", type=int, default=500)
+    bp.add_argument("--tol", type=float, default=SolverOptions.tol)
+    bp.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
 
     rp = sub.add_parser("random", help="generate a reproducible random tensor")
     rp.add_argument("--dims", required=True, help='dimensions, e.g. "3,3,3"')
@@ -180,12 +180,11 @@ def _cmd_solve(args) -> int:
         max_iter=args.max_iter,
         armijo_c=args.armijo_c,
         backtrack_rho=args.rho,
-        method=args.method,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("always", RuntimeWarning)
         try:
-            result = solve(prob, opts=opts, report=report)
+            result = solve(prob, opts=opts, method=args.method, report=report)
         except (SingularNewtonSystem, KrylovStalled, LineSearchFailed) as e:
             print(f"specrad: solver breakdown: {e}", file=sys.stderr)
             payload = {

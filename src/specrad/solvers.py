@@ -92,8 +92,6 @@ class SolverOptions:
         Step-halving factor; trial steps are ``backtrack_rho ** j``.
     max_backtracks:
         Budget of step reductions before the line search gives up.
-    method:
-        ``"lsnnm"`` (Newton) or ``"power"``.
     """
 
     tol: float = 1e-12
@@ -101,7 +99,6 @@ class SolverOptions:
     armijo_c: float = 1e-2
     backtrack_rho: float = 0.5
     max_backtracks: int = 60
-    method: str = "lsnnm"
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
@@ -114,8 +111,6 @@ class SolverOptions:
             raise ValueError("backtrack_rho must lie in (0, 1)")
         if self.max_backtracks < 0:
             raise ValueError("max_backtracks must be nonnegative")
-        if self.method not in ("lsnnm", "power"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -409,11 +404,14 @@ def solve(
     x0: BlockVector | None = None,
     opts: SolverOptions | None = None,
     *,
+    method: str = "lsnnm",
     report: AssumptionReport | None = None,
 ) -> SolveResult:
-    """Dispatch to the solver named by ``opts.method``, handing on a
-    ``classify_regime(prob)`` report the caller already has."""
-    opts = opts or SolverOptions()
-    if opts.method == "power":
+    """Run :func:`newton_noda` (``method="lsnnm"``) or :func:`power_iteration`
+    (``"power"``), looked up at call time so that a rebound (e.g. profiled)
+    solver is the one run, handing on a report the caller already has."""
+    if method == "lsnnm":
+        return newton_noda(prob, x0, opts, report=report)
+    if method == "power":
         return power_iteration(prob, x0, opts, report=report)
-    return newton_noda(prob, x0, opts, report=report)
+    raise ValueError(f"unknown method {method!r}")

@@ -16,6 +16,7 @@ log-domain versions of the ratio map used by convexity checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -125,7 +126,8 @@ class SpectralProblem:
 
 def make_problem(tensor: CooTensor, blocks, p) -> SpectralProblem:
     """Build a :class:`SpectralProblem`, keeping exact-rational exponents when
-    every entry of ``p`` is an int, a string like ``"7/3"``, or a Fraction."""
+    every entry of ``p`` is a rational number (an int, a NumPy integer or a
+    Fraction) or a string like ``"7/3"``."""
     part = validate_partition(tensor.dims, blocks)
     floats: list[float] = []
     exact: list[Fraction] = []
@@ -133,18 +135,19 @@ def make_problem(tensor: CooTensor, blocks, p) -> SpectralProblem:
     for v in p:
         if isinstance(v, bool):
             raise ValueError("boolean is not a valid exponent")
-        if isinstance(v, (int, Fraction)):
-            fr = Fraction(v)
+        if isinstance(v, numbers.Rational):  # NumPy integers too, as plain ints
+            fr = Fraction(int(v.numerator), int(v.denominator))
         elif isinstance(v, str):
-            fr = Fraction(v)
+            try:
+                fr = Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError(f"exponent {v!r} has a zero denominator") from None
         else:
-            fr = None
-        if fr is None:
             floats.append(float(v))
             all_exact = False
-        else:
-            floats.append(float(fr))
-            exact.append(fr)
+            continue
+        floats.append(float(fr))
+        exact.append(fr)
     return SpectralProblem(
         tensor=tensor,
         partition=part,

@@ -200,10 +200,7 @@ def is_weakly_irreducible(prob: SpectralProblem) -> bool:
 def _exact_nu_over_p(prob: SpectralProblem) -> Fraction | None:
     if prob.p_exact is None:
         return None
-    return sum(
-        (Fraction(nu) / pe for nu, pe in zip(prob.partition.nu, prob.p_exact)),
-        Fraction(0),
-    )
+    return sum(Fraction(nu) / pe for nu, pe in zip(prob.partition.nu, prob.p_exact))
 
 
 def _side_of_one(s_float: float, s_exact: Fraction | None) -> str:

@@ -55,7 +55,7 @@ class CooTensor:
     dims:
         Dimension of each mode, ``m`` positive integers.
     indices:
-        Integer array of shape ``(nnz, m)``; zero-based multi-indices.
+        Integral values of shape ``(nnz, m)``; zero-based multi-indices.
         Stored column-major (Fortran order) and read-only, whatever the
         layout supplied.
     values:
@@ -74,7 +74,7 @@ class CooTensor:
         if not dims or any(n <= 0 for n in dims):
             raise DimensionMismatch(f"mode dimensions must be positive, got {dims}")
         m = len(dims)
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _index_array(indices)
         if idx.size == 0:
             idx = idx.reshape(0, m)
         idx = np.atleast_2d(idx)
@@ -127,6 +127,23 @@ class CooTensor:
 
     def __repr__(self) -> str:
         return f"CooTensor(dims={self.dims}, nnz={self.nnz})"
+
+
+def _index_array(indices) -> np.ndarray:
+    """``indices`` as an int64 array.  Integer arrays pass unchecked; any
+    other input must hold integral values that int64 can store (``2.0`` is
+    accepted, ``1.5`` and ``2**70`` raise ``BadIndex``)."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind in "iu":
+        return idx.astype(np.int64, copy=False)
+    given = idx.ravel().tolist()
+    try:
+        ints = [int(v) for v in given]
+        if ints == given:
+            return np.array(ints, dtype=np.int64).reshape(idx.shape)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BadIndex("indices must be integral values within the int64 range")
 
 
 def _canonical(idx: np.ndarray, vals: np.ndarray):
@@ -318,10 +335,6 @@ class BlockVector:
     @property
     def blocks(self) -> list[np.ndarray]:
         return [self.block(i) for i in range(self.d)]
-
-    def map_blocks(self, fn) -> "BlockVector":
-        """Apply ``fn(i, block_i)`` to every block and repack the results."""
-        return BlockVector([fn(i, self.block(i)) for i in range(self.d)])
 
     def __add__(self, other):
         if not isinstance(other, BlockVector) or other.lengths != self.lengths:

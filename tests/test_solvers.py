@@ -1,4 +1,5 @@
 """Newton step, line search, full solves, traces, and cross-method checks."""
+import dataclasses
 import sys
 import tracemalloc
 import warnings
@@ -24,10 +25,9 @@ from conftest import bv, random_positive, rel_err, ring_cube
 
 
 def solve_quiet(prob, x0=None, opts=None, method="lsnnm"):
-    fn = sr.power_iteration if method == "power" else sr.newton_noda
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return fn(prob, x0, opts)
+        return sr.solve(prob, x0, opts, method=method)
 
 
 def bench_case_id(case):
@@ -46,7 +46,6 @@ class TestOptions:
         opts = sr.SolverOptions()
         assert opts.tol == 1e-12
         assert opts.max_iter == 500
-        assert opts.method == "lsnnm"
 
     @pytest.mark.parametrize(
         "kw",
@@ -59,7 +58,6 @@ class TestOptions:
             dict(backtrack_rho=0.0),
             dict(backtrack_rho=1.0),
             dict(max_backtracks=-1),
-            dict(method="bisection"),
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -356,8 +354,9 @@ class TestCertificateBoundsError:
         prob = sr.make_problem(sr.CooTensor(t.dims, t.indices, c * t.values), *config)
         assume(sr.classify_regime(prob).regime is not sr.Regime.UNSUPPORTED)
         exact = solve_quiet(prob)
-        rp = solve_quiet(prob, opts=sr.SolverOptions(tol=tol, method="power"))
+        rp = solve_quiet(prob, opts=sr.SolverOptions(tol=tol), method="power")
         assert exact.converged
+        assert rp.method == "power"
         assert abs(rp.lambda_star - exact.lambda_star) <= rp.res * exact.lambda_star
 
 
@@ -404,12 +403,11 @@ class TestPrecomputedReport:
     @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
     def test_same_result_with_and_without(self, case, method):
         prob = sr.make_problem(sr.reference_tensor(), case.blocks, case.p)
-        opts = sr.SolverOptions(method=method)
         report = sr.classify_regime(prob)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            given = sr.solve(prob, opts=opts, report=report)
-            own = sr.solve(prob, opts=opts)
+            given = sr.solve(prob, method=method, report=report)
+            own = sr.solve(prob, method=method)
         assert given.regime is report
         assert given.trace == own.trace
         assert np.array_equal(given.x.flat, own.x.flat)
@@ -475,9 +473,18 @@ class TestSolveDispatcher:
     def test_dispatches_by_method(self, ref_tensor):
         prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])
         assert sr.solve(prob).method == "lsnnm"
-        assert (
-            sr.solve(prob, opts=sr.SolverOptions(method="power")).method == "power"
-        )
+        assert sr.solve(prob, method="lsnnm").method == "lsnnm"
+        assert sr.solve(prob, method="power").method == "power"
+
+    def test_rejects_unknown_method(self, ref_tensor):
+        prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])
+        with pytest.raises(ValueError, match="bisection"):
+            sr.solve(prob, method="bisection")
+
+    def test_options_carry_no_method(self):
+        assert len(dataclasses.fields(sr.SolverOptions)) == 5
+        with pytest.raises(TypeError):
+            sr.SolverOptions(method="power")
 
     def test_regime_report_attached(self, ref_tensor):
         prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])

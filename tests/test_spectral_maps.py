@@ -43,6 +43,17 @@ class TestProblemConstruction:
         prob_f = sr.make_problem(ref_tensor, [[0], [1, 2]], [2.0, 4.0])
         assert prob_f.p_exact is None
 
+    def test_numpy_integer_p_is_exact(self, ref_tensor):
+        singletons = [[0], [1], [2]]
+        prob = sr.make_problem(ref_tensor, singletons, np.array([3, 3, 3]))
+        assert prob.p_exact == (3, 3, 3)
+        assert all(type(fr.numerator) is int for fr in prob.p_exact)
+        assert sr.classify_regime(prob).nu_over_p_exact == "1"
+
+    def test_zero_denominator_p_rejected(self, ref_tensor):
+        with pytest.raises(ValueError, match="1/0"):
+            sr.make_problem(ref_tensor, [[0, 1, 2]], ["1/0"])
+
     def test_float_p_accepted(self, ref_tensor):
         prob = sr.make_problem(ref_tensor, [[0, 1, 2]], [3.5])
         assert prob.p == (3.5,)

@@ -57,6 +57,21 @@ class TestCooTensor:
         with pytest.raises(BadIndex):
             sr.CooTensor((2, 2), [(-1, 0)], [1.0])
 
+    def test_non_integral_index_rejected(self):
+        with pytest.raises(BadIndex):
+            sr.CooTensor((3, 3), [[1.5, 0.7]], [1.0])
+        with pytest.raises(BadIndex):
+            sr.CooTensor((3, 3), np.array([[1.0, np.nan]]), [1.0])
+
+    def test_index_beyond_int64_rejected(self):
+        with pytest.raises(BadIndex):
+            sr.CooTensor((3, 3), [[2**70, 0]], [1.0])
+
+    def test_integral_float_index_accepted(self):
+        t = sr.CooTensor((3, 3), [[2.0, 0.0]], [1.0])
+        assert t == sr.CooTensor((3, 3), [[2, 0]], [1.0])
+        assert t.indices.dtype == np.int64
+
     def test_zero_tensor_is_storable(self):
         t = sr.CooTensor((3, 3, 3), [], [])
         assert t.nnz == 0

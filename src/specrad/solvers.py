@@ -11,9 +11,11 @@ Two methods share the same stopping rule and trace format:
     ``_DENSE_MAX_N`` unknowns a step costs one dense factorization of the
     bordered matrix; above it, restarted GMRES solves the bordered system
     from products with the Jacobian in factored form (one gather per mode,
-    one scatter per block), to a relative residual of ``_KRYLOV_RTOL``, so
-    no N x N matrix is formed.  A GMRES that misses that tolerance raises
-    ``KrylovStalled`` instead of taking an inexact step.
+    one scatter per block), so no N x N matrix is formed.  GMRES runs to an
+    Eisenstat-Walker forcing term, loose while the bracket is wide and
+    ``_KRYLOV_RTOL`` in the tail; an inexact step that would not lower the
+    eigenvalue is solved again to ``_KRYLOV_RTOL``.  A GMRES that misses the
+    tolerance it was given raises ``KrylovStalled``.
 
 ``power_iteration``
     Normalized fixed-point iteration of the power map.  Linearly convergent
@@ -36,6 +38,7 @@ reported eigenvalue is the bracket midpoint.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -124,7 +127,9 @@ class IterRecord:
     certified relative bracket gap, ``cw_lower`` the min ratio at the
     blockwise-normalized iterate, ``h_norm`` the max-norm of the bordered
     root function, and ``tangency`` the (normalized) constraint-gradient
-    component of the step direction, which Newton keeps at roundoff level.
+    component of the step direction, which an exact Newton step keeps at
+    roundoff level; on the GMRES path it sits at the level of the step's
+    forcing term.
     """
 
     k: int
@@ -177,40 +182,74 @@ def newton_step(prob: SpectralProblem, x: BlockVector, lam: float):
     return BlockVector.from_flat(d, x.lengths), delta
 
 
-#: Largest N solved by a dense factorization.  Below about N = 225 the
-#: dense solve is faster (6.9 against 11.9 ms a solve at N = 150, 12.0
-#: against 13.1 ms at N = 210); above, GMRES on the matrix-free operator is
-#: (19.2 against 16.0 ms at N = 270, 24.4 against 16.7 ms at N = 300, 37.8
-#: against 17.5 ms at N = 390), and it needs no (N+1)^2 matrix.
+#: Largest N solved by a dense factorization.  With forcing terms GMRES is
+#: as fast from about N = 150 on (p = 4,4,4 ring cubes, 5 iterations, one
+#: BLAS thread: dense against GMRES 3.7 against 5.8 ms a solve at N = 60,
+#: 5.3 against 5.8 ms at N = 90, 6.0 against 5.4-6.0 ms at N = 150, 12.0-13.5
+#: against 7.1-8.8 ms at N = 210, 25-26 against 7.6-9.7 ms at N = 300, 43
+#: against 9.7 ms at N = 390), and it needs no (N+1)^2 matrix.  The cut stays
+#: at 300 so that solves up to that size keep their bits.
 _DENSE_MAX_N = 300
-#: GMRES tolerance on the equilibrated residual; a solve this tight keeps the
-#: Newton tail quadratic.  Steps took 13-25 inner iterations in every regime
-#: tried, so one basis of ``_KRYLOV_RESTART`` vectors is usually enough, and
+#: Tightest GMRES tolerance on the equilibrated residual, which the forcing
+#: term reaches in the tail and the public ``newton_step`` always uses.  Steps
+#: solved this tightly took 13-25 inner iterations in every regime tried, so
+#: one basis of ``_KRYLOV_RESTART`` vectors is usually enough, and
 #: ``_KRYLOV_MAX_ITER`` bounds the work spent before ``KrylovStalled``.
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_RESTART = 60
 _KRYLOV_MAX_ITER = 300
+#: Largest GMRES tolerance, and the factor on the bracket gap and on the last
+#: eigenvalue correction that bound it (see :func:`_forcing_term`).
+_FORCING = 0.1
 
 
-def _newton_step(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float, H: np.ndarray):
+def _forcing_term(res: float, lam: float, last_delta: float) -> float:
+    """GMRES tolerance for the Newton step from an iterate with bracket gap
+    ``res`` and max ratio ``lam``, after a step that proposed the eigenvalue
+    correction ``last_delta`` (infinite before the first step).
+
+    An Eisenstat-Walker forcing term: the step is solved only as accurately
+    as the iterate is, so early steps take a few products and the tail is
+    still quadratic.  Both bounds are relative, so the tolerance is the same
+    at every scale of the tensor.  The bound by ``|last_delta| / lam`` keeps
+    steps tight once ``lam`` is accurate while the bracket is still wide (a
+    critical problem); without it such a step fails the line search at full
+    length and the iteration creeps.
+    """
+    return max(_KRYLOV_RTOL, min(_FORCING, _FORCING * res, _FORCING * abs(last_delta) / lam))
+
+
+def _newton_step(
+    prob: SpectralProblem,
+    x: BlockVector,
+    phi: np.ndarray,
+    lam: float,
+    H: np.ndarray,
+    rtol: float = _KRYLOV_RTOL,
+):
     """``(d, delta, tangency)`` from the ratios ``phi`` and root function ``H``
     at ``(x, lam)``; the tangency is the step's component along the border
     row, the constraint gradient.  Up to ``_DENSE_MAX_N`` unknowns the
     bordered matrix is formed and factored; above it GMRES solves the
-    equilibrated system to ``_KRYLOV_RTOL`` or raises ``KrylovStalled``."""
+    equilibrated system to the relative tolerance ``rtol``, and again to
+    ``_KRYLOV_RTOL`` when the looser step has a nonnegative ``delta``, or
+    raises ``KrylovStalled``."""
     n = x.flat.size
     if n > _DENSE_MAX_N:
         matvec, diag, g = _bordered_operator(prob, x, phi, lam)
         rhs = -H
         rhs[:n] /= lam
-        sol = gmres(
-            matvec,
-            rhs,
-            np.append(1.0 / diag, 1.0),
-            rtol=_KRYLOV_RTOL,
-            restart=_KRYLOV_RESTART,
-            max_iter=_KRYLOV_MAX_ITER,
-        )
+        precond = np.append(1.0 / diag, 1.0)
+
+        def krylov(tol: float) -> np.ndarray:
+            return gmres(
+                matvec, rhs, precond, rtol=tol, restart=_KRYLOV_RESTART, max_iter=_KRYLOV_MAX_ITER
+            )
+
+        sol = krylov(rtol)
+        if sol[n] >= 0.0 and rtol > _KRYLOV_RTOL:
+            # an inexact step must still lower lambda (Noda's monotonicity)
+            sol = krylov(_KRYLOV_RTOL)
         sol[n] *= lam
     else:
         DH = _newton_matrix(prob, x, phi, lam)
@@ -257,12 +296,7 @@ def _line_search(prob, x, lam, d, delta, opts):
         phi_next = _ratio(prob, x_next, gradient_map(prob, x_next).flat)
         if phi_next.max() <= lam + opts.armijo_c * alpha * delta:
             if np.any(trial < floor):
-                warnings.warn(
-                    "accepted iterate has a component within 1e-12*|x|_inf "
-                    "of the positivity boundary",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                _warn("accepted iterate has a component within 1e-12*|x|_inf of the positivity boundary")
             return alpha, x_next, phi_next, j
     raise LineSearchFailed(
         f"no acceptable step after {opts.max_backtracks} backtracks"
@@ -278,16 +312,23 @@ def _start_point(prob: SpectralProblem, x0: BlockVector | None) -> BlockVector:
     return x0
 
 
+def _warn(message: str) -> None:
+    """Warn with a ``RuntimeWarning`` located at the first caller outside this
+    module, however many of its functions lie between."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
 def _warn_unsupported(report: AssumptionReport) -> None:
     if report.regime is Regime.UNSUPPORTED:
-        warnings.warn(
+        _warn(
             "structural assumptions not satisfied "
             f"(strict_nonneg={report.strict_nonneg}, "
             f"weakly_irreducible={report.weakly_irreducible}, "
             f"nu_over_p={report.nu_over_p:.6g}); convergence is not "
-            "guaranteed, attempting the solve anyway",
-            RuntimeWarning,
-            stacklevel=3,
+            "guaranteed, attempting the solve anyway"
         )
 
 
@@ -327,7 +368,7 @@ def newton_noda(
     x = retract(prob, _start_point(prob, x0))
     phi = ratio_map(prob, x).flat
     trace: list[IterRecord] = []
-    k = 0
+    k, delta = 0, -math.inf
     while True:
         lam = float(phi.max())
         xbar, hi, lo, res = _bracket(prob, x)
@@ -337,7 +378,8 @@ def newton_noda(
         if converged or k >= opts.max_iter:
             trace.append(IterRecord(k, lam, 0.0, 1.0, 0, res, lo, h_norm))
             break
-        d, delta, tangency = _newton_step(prob, x, phi, lam, H)
+        eta = _forcing_term(res, lam, delta)
+        d, delta, tangency = _newton_step(prob, x, phi, lam, H, eta)
         alpha, x, phi, backtracks = _line_search(prob, x, lam, d, delta, opts)
         trace.append(
             IterRecord(k, lam, delta, alpha, backtracks, res, lo, h_norm, tangency)

@@ -92,6 +92,36 @@ def ring_cube(n: int, seed: int, scale: float = 1.0) -> sr.CooTensor:
     return sr.CooTensor((n,) * 3, idx, scale * (1.0 - rng.random(idx.shape[0])))
 
 
+def two_cluster_matrix(n: int, eps: float, seed: int = 0) -> np.ndarray:
+    """Dense 2n x 2n nonnegative matrix of two weakly coupled clusters.
+
+    Each diagonal block is a 5 % dense U[0, 1) matrix plus 0.5 on the
+    diagonal and on the cyclic superdiagonal; the second block is scaled by
+    0.98.  20 entries ``(i, n + j)`` and 20 entries ``(n + i, j)`` of value
+    ``eps`` couple the clusters.  With partition ``1;2`` and p = 2,2 the
+    problem is critical and its spectral radius is the largest singular
+    value."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((2 * n, 2 * n))
+    t = np.arange(n)
+    for o, s in ((0, 1.0), (n, 0.98)):
+        block = (rng.random((n, n)) < 0.05) * rng.random((n, n))
+        block[t, t] += 0.5
+        block[t, (t + 1) % n] += 0.5
+        A[o:o + n, o:o + n] = s * block
+    i, j = rng.integers(0, n, (2, 20))
+    A[i, n + j] = eps
+    i, j = rng.integers(0, n, (2, 20))
+    A[n + i, j] = eps
+    return A
+
+
+def matrix_tensor(A: np.ndarray) -> sr.CooTensor:
+    """The stored (nonzero) entries of the matrix ``A`` as an order-2 tensor."""
+    rows, cols = np.nonzero(A)
+    return sr.CooTensor(A.shape, np.stack([rows, cols], axis=1), A[rows, cols])
+
+
 @st.composite
 def block_problems(draw, max_block_dim=3, values=st.sampled_from([0.0, 0.5, 1.0, 3.0])):
     """Order 2-4 tensors over every partition shape, block dims 1 to

@@ -21,7 +21,7 @@ from specrad.errors import (
     SingularNewtonSystem,
 )
 
-from conftest import bv, random_positive, rel_err, ring_cube
+from conftest import bv, matrix_tensor, random_positive, rel_err, ring_cube, two_cluster_matrix
 
 
 def solve_quiet(prob, x0=None, opts=None, method="lsnnm"):
@@ -142,11 +142,12 @@ class TestLineSearch:
         d = sr.BlockVector.from_flat(dflat, x.lengths)
         # the surviving component's ratio explodes like 1/x^2, so only an
         # absurdly slack decrease budget accepts the full step
-        with pytest.warns(RuntimeWarning, match="positivity boundary"):
+        with pytest.warns(RuntimeWarning, match="positivity boundary") as record:
             alpha, _, backtracks = sr.line_search(
                 prob, x, lam, d, 1e33, sr.SolverOptions()
             )
         assert (alpha, backtracks) == (1.0, 0)
+        assert {w.filename for w in record} == {__file__}
 
     def test_ratio_barrier_rejects_boundary_step(self, ref_tensor):
         # same direction with a merely large budget: the exploding ratio
@@ -307,6 +308,13 @@ class TestNewtonNoda:
             res = sr.newton_noda(prob)
         assert res.converged  # the solve is attempted regardless
 
+    @pytest.mark.parametrize("entry", ["solve", "newton_noda", "power_iteration"])
+    def test_unsupported_warning_names_the_callers_line(self, ref_tensor, entry):
+        prob = sr.make_problem(ref_tensor, [[0], [1, 2]], ["2", "4"])
+        with pytest.warns(RuntimeWarning, match="structural assumptions") as record:
+            getattr(sr, entry)(prob)
+        assert [w.filename for w in record if "structural" in str(w.message)] == [__file__]
+
     def test_singular_jacobian_regularized_by_border(self, ref_tensor):
         # at a converged critical-regime eigenpair the plain Jacobian is
         # singular while the bordered matrix stays well conditioned
@@ -372,6 +380,24 @@ def count_gradient_calls(monkeypatch) -> list:
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "specrad" and getattr(module, "gradient_map", None) is original:
             monkeypatch.setattr(module, "gradient_map", counted)
+    return calls
+
+
+def count_products(monkeypatch) -> list:
+    """Count products with the matrix-free bordered Newton operator."""
+    calls = []
+    original = specrad.solvers._bordered_operator
+
+    def counted(*args):
+        matvec, diag, g = original(*args)
+
+        def counted_matvec(v):
+            calls.append(1)
+            return matvec(v)
+
+        return counted_matvec, diag, g
+
+    monkeypatch.setattr(specrad.solvers, "_bordered_operator", counted)
     return calls
 
 
@@ -544,8 +570,10 @@ def krylov_id(cfg):
 
 class TestKrylovNewton:
     """Above ``_DENSE_MAX_N`` unknowns the Newton step is solved by GMRES on
-    the matrix-free bordered operator; it must be the dense step, at every
-    scale, with a quadratic tail, and never silently inexact."""
+    the matrix-free bordered operator, to a forcing-term tolerance.  Solved
+    tightly it must be the dense step; the iteration must be scale-invariant,
+    keep a quadratic tail and lower lambda at every step, and a GMRES that
+    misses its tolerance must raise."""
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(
@@ -614,6 +642,51 @@ class TestKrylovNewton:
             res = solve_quiet(prob)
         assert 0 < len(calls) <= 2 * (res.iterations + 1)
 
+    @pytest.mark.parametrize("p, iterations, products", [("4", 5, 40), ("3", 6, 55)])
+    def test_forcing_terms_bound_operator_products(self, p, iterations, products, monkeypatch):
+        # N = 6000; steps solved to _KRYLOV_RTOL took 74 and 89 products in
+        # 5 iterations
+        prob = sr.make_problem(ring_cube(2000, 0), SINGLETONS, [p] * 3)
+        calls = count_products(monkeypatch)
+        res = sr.newton_noda(prob)
+        assert res.converged and res.iterations <= iterations
+        assert len(calls) <= products
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(cfg=st.sampled_from(KRYLOV_CONFIGS), seed=st.integers(0, 10**6))
+    def test_inexact_steps_lower_lambda_and_cost_at_most_one_iteration(self, cfg, seed):
+        blocks, p, n = cfg
+        prob = sr.make_problem(ring_cube(n, seed), blocks, p)
+        res = solve_quiet(prob)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sr.solvers, "_forcing_term", lambda *_: sr.solvers._KRYLOV_RTOL)
+            exact = solve_quiet(prob)
+        assert res.converged and exact.converged
+        assert all(rec.delta_k <= 0.0 for rec in res.trace[:-1])
+        assert res.iterations <= exact.iterations + 1
+
+    def test_inexact_step_that_raises_lambda_is_solved_tightly(self, monkeypatch):
+        prob = sr.make_problem(ring_cube(103, 0), SINGLETONS, ["4", "4", "4"])
+        x = sr.retract(prob, prob.ones())
+        phi = sr.ratio_map(prob, x).flat
+        lam = float(phi.max())
+        H = sr.eigen_system(prob, x, lam)
+        d_ref, delta_ref, _ = sr.solvers._newton_step(prob, x, phi, lam, H)
+        tols = []
+        original = sr.solvers.gmres
+
+        def loose_solve_raises_lambda(matvec, b, precond, *, rtol, **kwargs):
+            tols.append(rtol)
+            sol = original(matvec, b, precond, rtol=rtol, **kwargs)
+            if rtol > sr.solvers._KRYLOV_RTOL:
+                sol[-1] = abs(sol[-1])
+            return sol
+
+        monkeypatch.setattr(sr.solvers, "gmres", loose_solve_raises_lambda)
+        d, delta, _ = sr.solvers._newton_step(prob, x, phi, lam, H, 0.1)
+        assert tols == [0.1, sr.solvers._KRYLOV_RTOL]
+        assert delta == delta_ref and np.array_equal(d, d_ref)
+
     def test_missed_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(sr.solvers, "_KRYLOV_MAX_ITER", 1)
         prob = sr.make_problem(ring_cube(103, 0), SINGLETONS, ["4", "4", "4"])
@@ -657,9 +730,19 @@ class TestSingularValueKnownAnswer:
         rng = np.random.default_rng(seed)
         A = (rng.random((n, n)) < 0.2) * rng.random((n, n))
         A[np.diag_indices(n)] += 0.5
-        rows, cols = np.nonzero(A)
-        t = sr.CooTensor((n, n), np.stack([rows, cols], axis=1), A[rows, cols])
-        res = solve_quiet(sr.make_problem(t, [[0], [1]], ["2", "2"]))
+        res = solve_quiet(sr.make_problem(matrix_tensor(A), [[0], [1]], ["2", "2"]))
         sigma = float(np.linalg.svd(A, compute_uv=False)[0])
         assert res.converged
+        assert abs(res.lambda_star - sigma) <= 1e-10 * sigma
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(160, 200), seed=st.integers(0, 10**6))
+    def test_critical_two_cluster_matrix(self, n, seed):
+        # N = 2n unknowns, critical; steps solved to _KRYLOV_RTOL take 6-8
+        # iterations, and GMRES tolerances bounded by the bracket gap alone
+        # took up to 17 (11 at n = 160, seed 0)
+        A = two_cluster_matrix(n, 1e-2, seed)
+        res = solve_quiet(sr.make_problem(matrix_tensor(A), [[0], [1]], ["2", "2"]))
+        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
+        assert res.converged and res.iterations <= 10
         assert abs(res.lambda_star - sigma) <= 1e-10 * sigma

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .solvers import IterRecord, SolveResult, SolverOptions, solve
 from .spectral_maps import SpectralProblem, make_problem
-from .structure import classify_regime
+from .structure import AssumptionReport, classify_regime
 from .tensor_io import (
     parse_p,
     parse_partition,
@@ -149,6 +149,13 @@ def _write_json(payload: dict, path: str | None) -> None:
         print(text)
 
 
+def _write_error(message: str, report: AssumptionReport, path: str | None) -> None:
+    """The document written in place of a result: the error and the report."""
+    _write_json(
+        {"schema_version": SCHEMA_VERSION, "error": message, "regime": report.to_dict()}, path
+    )
+
+
 def _write_trace(result: SolveResult, path: str) -> None:
     lines = [TRACE_HEADER]
     for rec in result.trace:
@@ -161,14 +168,12 @@ def _cmd_solve(args) -> int:
     prob = _load_problem(args)
     report = classify_regime(prob)
     if not report.strict_nonneg:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "error": "structural rejection: tensor is not strictly "
-            "nonnegative for this partition (some gradient component "
-            "vanishes identically)",
-            "regime": report.to_dict(),
-        }
-        _write_json(payload, args.json_path)
+        _write_error(
+            "structural rejection: tensor is not strictly nonnegative for this "
+            "partition (some gradient component vanishes identically)",
+            report,
+            args.json_path,
+        )
         print(
             "specrad: structural rejection: strict nonnegativity fails for "
             "this partition",
@@ -187,12 +192,7 @@ def _cmd_solve(args) -> int:
             result = solve(prob, opts=opts, method=args.method, report=report)
         except (SingularNewtonSystem, KrylovStalled, LineSearchFailed) as e:
             print(f"specrad: solver breakdown: {e}", file=sys.stderr)
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "error": f"solver breakdown: {e}",
-                "regime": report.to_dict(),
-            }
-            _write_json(payload, args.json_path)
+            _write_error(f"solver breakdown: {e}", report, args.json_path)
             return 2
     _write_json(_result_payload(prob, result), args.json_path)
     if args.trace_path:

@@ -1,6 +1,8 @@
 """Solvers for the positive block-spectral eigenpair.
 
-Two methods share the same stopping rule and trace format:
+Both methods run one loop, which owns the start-point checks, the stopping
+rule on the certificate, the trace and the result; each method supplies only
+its first iterate and its step:
 
 ``newton_noda``
     Newton's method on the bordered system (eigen residual + normalization
@@ -15,16 +17,16 @@ Two methods share the same stopping rule and trace format:
     Eisenstat-Walker forcing term, loose while the bracket is wide and
     ``_KRYLOV_RTOL`` in the tail; an inexact step that would not lower the
     eigenvalue is solved again to ``_KRYLOV_RTOL``.  A GMRES that misses the
-    tolerance it was given raises ``KrylovStalled``.
+    tolerance it was given raises ``KrylovStalled``.  The first iterate is
+    the retraction of the start point; the line search hands on the ratios
+    at its accepted point and their max, and only the certificate evaluates
+    them again, at the blockwise normalization.
 
 ``power_iteration``
     Normalized fixed-point iteration of the power map.  Linearly convergent
     at best, but simple and derivative-free; used as an independent
-    cross-check of the Newton solver.
-
-Each iterate evaluates its ratios once and derives every other quantity from
-them; Newton's line search hands on the ratios at its accepted point, and only
-the certificate evaluates them again, at the blockwise normalization.
+    cross-check of the Newton solver.  Its iterates are normalized
+    blockwise, so the certificate is read off the one evaluation per step.
 
 Convergence is certified through Collatz-Wielandt bounds: with the iterate
 normalized blockwise, the min and max componentwise ratios bracket the
@@ -38,6 +40,7 @@ reported eigenvalue is the bracket midpoint.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -46,7 +49,6 @@ import numpy as np
 
 from .errors import (
     LineSearchFailed,
-    NonPositiveInput,
     SingularMatrix,
     SingularNewtonSystem,
 )
@@ -61,6 +63,7 @@ from .spectral_maps import (
     _ratio,
     normalize_blocks,
     ratio_map,
+    require_positive,
     retract,
 )
 from .structure import AssumptionReport, Regime, classify_regime
@@ -106,14 +109,14 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        for name, least in (("max_iter", 1), ("max_backtracks", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.backtrack_rho < 1.0:
             raise ValueError("backtrack_rho must lie in (0, 1)")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -214,9 +217,11 @@ def _forcing_term(res: float, lam: float, last_delta: float) -> float:
     at every scale of the tensor.  The bound by ``|last_delta| / lam`` keeps
     steps tight once ``lam`` is accurate while the bracket is still wide (a
     critical problem); without it such a step fails the line search at full
-    length and the iteration creeps.
+    length and the iteration creeps.  With every ratio zero (``lam == 0``)
+    that bound is left out, and the step itself breaks down.
     """
-    return max(_KRYLOV_RTOL, min(_FORCING, _FORCING * res, _FORCING * abs(last_delta) / lam))
+    step_bound = _FORCING * abs(last_delta) / lam if lam > 0.0 else math.inf
+    return max(_KRYLOV_RTOL, min(_FORCING, _FORCING * res, step_bound))
 
 
 def _newton_step(
@@ -279,13 +284,13 @@ def line_search(
     ``1e-12 * |x|_inf`` of the boundary.  Returns
     ``(alpha, x_next, backtracks)``.
     """
-    alpha, x_next, _, backtracks = _line_search(prob, x, lam, d.flat, delta, opts)
+    alpha, x_next, _, _, backtracks = _line_search(prob, x, lam, d.flat, delta, opts)
     return alpha, x_next, backtracks
 
 
 def _line_search(prob, x, lam, d, delta, opts):
-    """:func:`line_search` on a flat direction ``d``; also returns the flat
-    ratios at the accepted point, ``(alpha, x_next, phi_next, backtracks)``."""
+    """:func:`line_search` on a flat direction ``d``, returning ``(alpha, x_next,
+    phi_next, lam_next, backtracks)``: also the ratios at ``x_next`` and their max."""
     floor = 1e-12 * float(np.abs(x.flat).max())
     for j in range(opts.max_backtracks + 1):
         alpha = opts.backtrack_rho ** j
@@ -294,22 +299,14 @@ def _line_search(prob, x, lam, d, delta, opts):
             continue
         x_next = retract(prob, BlockVector.from_flat(trial, x.lengths))
         phi_next = _ratio(prob, x_next, gradient_map(prob, x_next).flat)
-        if phi_next.max() <= lam + opts.armijo_c * alpha * delta:
+        lam_next = float(phi_next.max())
+        if lam_next <= lam + opts.armijo_c * alpha * delta:
             if np.any(trial < floor):
                 _warn("accepted iterate has a component within 1e-12*|x|_inf of the positivity boundary")
-            return alpha, x_next, phi_next, j
+            return alpha, x_next, phi_next, lam_next, j
     raise LineSearchFailed(
         f"no acceptable step after {opts.max_backtracks} backtracks"
     )
-
-
-def _start_point(prob: SpectralProblem, x0: BlockVector | None) -> BlockVector:
-    if x0 is None:
-        return prob.ones()
-    conform(prob.partition, x0)
-    if not np.all(x0.flat > 0.0):
-        raise NonPositiveInput("starting point must be strictly positive")
-    return x0
 
 
 def _warn(message: str) -> None:
@@ -319,17 +316,6 @@ def _warn(message: str) -> None:
     while frame is not None and frame.f_code.co_filename == __file__:
         frame, level = frame.f_back, level + 1
     warnings.warn(message, RuntimeWarning, stacklevel=level)
-
-
-def _warn_unsupported(report: AssumptionReport) -> None:
-    if report.regime is Regime.UNSUPPORTED:
-        _warn(
-            "structural assumptions not satisfied "
-            f"(strict_nonneg={report.strict_nonneg}, "
-            f"weakly_irreducible={report.weakly_irreducible}, "
-            f"nu_over_p={report.nu_over_p:.6g}); convergence is not "
-            "guaranteed, attempting the solve anyway"
-        )
 
 
 def _cw_bracket(phi: np.ndarray):
@@ -344,6 +330,55 @@ def _bracket(prob: SpectralProblem, x: BlockVector):
     """``(xbar, hi, lo, res)`` at the blockwise normalization ``xbar`` of ``x``."""
     xbar = normalize_blocks(prob, x)
     return (xbar, *_cw_bracket(ratio_map(prob, xbar).flat))
+
+
+def _certified_loop(prob, x0, opts, report, method, start, step) -> SolveResult:
+    """The loop both solvers share.  An iterate is ``(x, phi, lam, cert,
+    carry)``: a point, its flat ratios, their max, its certificate ``(xbar, hi,
+    lo, res)`` and what the method's next step needs.  ``start(x0)`` gives the
+    first; ``step(x, phi, lam, res, H, carry, opts)`` the next, with its trace
+    entries ``(delta, alpha, backtracks, tangency)``."""
+    opts = opts or SolverOptions()
+    if report is None:
+        report = classify_regime(prob)
+    if report.regime is Regime.UNSUPPORTED:
+        _warn(
+            "structural assumptions not satisfied "
+            f"(strict_nonneg={report.strict_nonneg}, "
+            f"weakly_irreducible={report.weakly_irreducible}, "
+            f"nu_over_p={report.nu_over_p:.6g}); convergence is not "
+            "guaranteed, attempting the solve anyway"
+        )
+    if x0 is None:
+        x0 = prob.ones()
+    conform(prob.partition, x0)
+    require_positive(x0)
+    it = start(x0)
+    trace: list[IterRecord] = []
+    for k in range(opts.max_iter + 1):
+        x, phi, lam, (xbar, hi, lo, res), carry = it
+        H = _eigen_system(prob, x, phi, lam)
+        h_norm = float(np.abs(H).max())
+        converged = res <= opts.tol
+        if converged or k == opts.max_iter:
+            trace.append(IterRecord(k, lam, 0.0, 1.0, 0, res, lo, h_norm))
+            break
+        it, (delta, alpha, backtracks, tangency) = step(x, phi, lam, res, H, carry, opts)
+        trace.append(
+            IterRecord(k, lam, delta, alpha, backtracks, res, lo, h_norm, tangency)
+        )
+    return SolveResult(
+        lambda_star=0.5 * (hi + lo),
+        x=xbar,
+        res=res,
+        cw_lower=lo,
+        cw_upper=hi,
+        iterations=k,
+        converged=converged,
+        method=method,
+        regime=report,
+        trace=tuple(trace),
+    )
 
 
 def newton_noda(
@@ -361,42 +396,19 @@ def newton_noda(
     bracket gap falls to ``opts.tol`` or the iteration cap is reached.
     ``report`` is ``classify_regime(prob)`` when the caller already has it.
     """
-    opts = opts or SolverOptions()
-    if report is None:
-        report = classify_regime(prob)
-    _warn_unsupported(report)
-    x = retract(prob, _start_point(prob, x0))
-    phi = ratio_map(prob, x).flat
-    trace: list[IterRecord] = []
-    k, delta = 0, -math.inf
-    while True:
-        lam = float(phi.max())
-        xbar, hi, lo, res = _bracket(prob, x)
-        H = _eigen_system(prob, x, phi, lam)
-        h_norm = float(np.abs(H).max())
-        converged = res <= opts.tol
-        if converged or k >= opts.max_iter:
-            trace.append(IterRecord(k, lam, 0.0, 1.0, 0, res, lo, h_norm))
-            break
-        eta = _forcing_term(res, lam, delta)
+
+    def start(x):
+        x = retract(prob, x)
+        phi = ratio_map(prob, x).flat
+        return x, phi, float(phi.max()), _bracket(prob, x), -math.inf
+
+    def step(x, phi, lam, res, H, last_delta, opts):
+        eta = _forcing_term(res, lam, last_delta)
         d, delta, tangency = _newton_step(prob, x, phi, lam, H, eta)
-        alpha, x, phi, backtracks = _line_search(prob, x, lam, d, delta, opts)
-        trace.append(
-            IterRecord(k, lam, delta, alpha, backtracks, res, lo, h_norm, tangency)
-        )
-        k += 1
-    return SolveResult(
-        lambda_star=0.5 * (hi + lo),
-        x=xbar,
-        res=res,
-        cw_lower=lo,
-        cw_upper=hi,
-        iterations=k,
-        converged=converged,
-        method="lsnnm",
-        regime=report,
-        trace=tuple(trace),
-    )
+        alpha, x, phi, lam, backtracks = _line_search(prob, x, lam, d, delta, opts)
+        return (x, phi, lam, _bracket(prob, x), delta), (delta, alpha, backtracks, tangency)
+
+    return _certified_loop(prob, x0, opts, report, "lsnnm", start, step)
 
 
 def power_iteration(
@@ -409,36 +421,19 @@ def power_iteration(
     """Normalized power iteration on the power map, with the same certified
     stopping rule as the Newton solver.  ``report`` is
     ``classify_regime(prob)`` when the caller already has it."""
-    opts = opts or SolverOptions()
-    if report is None:
-        report = classify_regime(prob)
-    _warn_unsupported(report)
-    x = normalize_blocks(prob, _start_point(prob, x0))
-    trace: list[IterRecord] = []
-    k = 0
-    while True:
+
+    def start(x):
+        x = normalize_blocks(prob, x)
         G = gradient_map(prob, x).flat
         phi = _ratio(prob, x, G)
         hi, lo, res = _cw_bracket(phi)
-        h_norm = float(np.abs(_eigen_system(prob, x, phi, hi)).max())
-        trace.append(IterRecord(k, hi, 0.0, 1.0, 0, res, lo, h_norm))
-        converged = res <= opts.tol
-        if converged or k >= opts.max_iter:
-            break
-        x = normalize_blocks(prob, BlockVector.from_flat(_power_update(prob, G), x.lengths))
-        k += 1
-    return SolveResult(
-        lambda_star=0.5 * (hi + lo),
-        x=x,
-        res=res,
-        cw_lower=lo,
-        cw_upper=hi,
-        iterations=k,
-        converged=converged,
-        method="power",
-        regime=report,
-        trace=tuple(trace),
-    )
+        return x, phi, hi, (x, hi, lo, res), G
+
+    def step(x, phi, lam, res, H, G, opts):
+        x = BlockVector.from_flat(_power_update(prob, G), x.lengths)
+        return start(x), (0.0, 1.0, 0, 0.0)
+
+    return _certified_loop(prob, x0, opts, report, "power", start, step)
 
 
 def solve(

@@ -359,7 +359,10 @@ class BlockVector:
 
 
 def conform(part: ShapePartition, x: BlockVector) -> None:
-    """Raise ``ShapeMismatch`` unless ``x`` matches the partition's block dims."""
+    """Raise ``TypeError`` unless ``x`` is a :class:`BlockVector`, and
+    ``ShapeMismatch`` unless it matches the partition's block dims."""
+    if not isinstance(x, BlockVector):
+        raise TypeError(f"expected a BlockVector, got {type(x).__name__}")
     if tuple(x.lengths) != tuple(part.block_dims):
         raise ShapeMismatch(
             f"block vector with lengths {x.lengths} does not conform to "

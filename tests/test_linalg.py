@@ -51,6 +51,10 @@ class TestLuSolve:
         with pytest.raises(ValueError):
             sr.lu_solve(np.ones((2, 3)), np.ones(2))
 
+    def test_rhs_length_rejected(self):
+        with pytest.raises(ValueError, match="rhs of length 3"):
+            sr.lu_solve(np.eye(2), np.ones(3))
+
 
 def gmres_dense(A, b, precond=None, rtol=1e-13, restart=20, max_iter=500):
     A = np.asarray(A, dtype=float)

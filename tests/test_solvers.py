@@ -58,11 +58,20 @@ class TestOptions:
             dict(backtrack_rho=0.0),
             dict(backtrack_rho=1.0),
             dict(max_backtracks=-1),
+            dict(max_backtracks=1.5),
+            dict(max_iter=2.5),
+            dict(max_iter=True),
+            dict(max_backtracks=False),
         ],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             sr.SolverOptions(**kw)
+
+    def test_accepts_numpy_integers(self, ref_tensor):
+        opts = sr.SolverOptions(max_iter=np.int64(2), max_backtracks=np.int32(3))
+        prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])
+        assert sr.newton_noda(prob, opts=opts).iterations == 2
 
 
 class TestNewtonStep:
@@ -301,6 +310,27 @@ class TestNewtonNoda:
             sr.newton_noda(prob, x0=bv(prob, [1.0, 0.0, 1.0]))
         with pytest.raises(ShapeMismatch):
             sr.newton_noda(prob, x0=sr.BlockVector([[1.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", ["solve", "newton_noda", "power_iteration"])
+    def test_rejects_a_start_that_is_not_a_block_vector(self, ref_tensor, entry):
+        prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])
+        with pytest.raises(TypeError, match="BlockVector, got SolverOptions"):
+            getattr(sr, entry)(prob, sr.SolverOptions())
+        with pytest.raises(TypeError, match="BlockVector, got list"):
+            getattr(sr, entry)(prob, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "n, error", [(3, SingularNewtonSystem), (101, KrylovStalled)], ids=["dense", "krylov"]
+    )
+    @pytest.mark.parametrize("nnz", [0, 1])
+    def test_all_zero_ratios_raise_the_step_breakdown(self, n, error, nnz):
+        # no entries, or only zero-valued ones: every ratio is 0 at the start
+        t = sr.CooTensor((n, n, n), np.zeros((nnz, 3), dtype=np.int64), [0.0] * nnz)
+        prob = sr.make_problem(t, [[0], [1], [2]], ["4", "4", "4"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(error):
+                sr.newton_noda(prob)
 
     def test_warns_on_unsupported_regime(self, ref_tensor):
         prob = sr.make_problem(ref_tensor, [[0], [1, 2]], ["2", "4"])

@@ -1,6 +1,7 @@
 """Ratio map, constraint surface, Newton system blocks, power map,
 homogeneity weights, Collatz-Wielandt bounds, and log-domain maps."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,24 @@ class TestProblemConstruction:
         with pytest.raises(ValueError, match="1/0"):
             sr.make_problem(ref_tensor, [[0, 1, 2]], ["1/0"])
 
+    @pytest.mark.parametrize(
+        "dims, p_exact, match",
+        [
+            ((2, 2, 2), None, "partition does not match"),
+            ((3, 3, 3), (Fraction(3), Fraction(3)), "one entry per block"),
+            ((3, 3, 3), (Fraction(4),), "inconsistent"),
+        ],
+        ids=["dims", "p_exact_length", "p_exact_value"],
+    )
+    def test_direct_construction_checked(self, ref_tensor, dims, p_exact, match):
+        part = sr.validate_partition(dims, [[0, 1, 2]])
+        with pytest.raises(ValueError, match=match):
+            sr.SpectralProblem(tensor=ref_tensor, partition=part, p=(3.0,), p_exact=p_exact)
+
+    def test_boolean_p_rejected(self, ref_tensor):
+        with pytest.raises(ValueError, match="boolean"):
+            sr.make_problem(ref_tensor, [[0, 1, 2]], [True])
+
     def test_float_p_accepted(self, ref_tensor):
         prob = sr.make_problem(ref_tensor, [[0, 1, 2]], [3.5])
         assert prob.p == (3.5,)
@@ -75,6 +94,11 @@ class TestRatioMap:
             sr.ratio_map(prob, bv(prob, [1.0, 0.0, 1.0]))
         with pytest.raises(NonPositiveInput):
             sr.ratio_max(prob, bv(prob, [1.0, -1.0, 1.0]))
+
+    def test_block_vector_required(self, ref_tensor):
+        prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])
+        with pytest.raises(TypeError, match="BlockVector, got list"):
+            sr.ratio_map(prob, [1.0, 1.0, 1.0])
 
     def test_ratios_positive_iff_gradient_positive(self, nine_problem):
         prob, _ = nine_problem
@@ -179,6 +203,8 @@ class TestRetraction:
         prob = sr.make_problem(ref_tensor, [[0], [1, 2]], ["2", "4"])
         with pytest.raises(ZeroNormBlock):
             sr.retract(prob, sr.BlockVector([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+        with pytest.raises(ZeroNormBlock):
+            sr.normalize_blocks(prob, sr.BlockVector([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
 
     def test_normalize_blocks_unit_norms(self, nine_problem):
         prob, _ = nine_problem

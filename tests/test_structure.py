@@ -203,6 +203,12 @@ class TestClassifyRegime:
         assert rep.nu_over_p_exact == "3/2"
         assert rep.regime is sr.Regime.UNSUPPORTED
 
+    def test_float_p_supercritical_unsupported(self, all_ones_cube):
+        # without exact p the side of one is decided in floats: 3/2.5 > 1
+        rep = sr.classify_regime(sr.make_problem(all_ones_cube, [[0, 1, 2]], [2.5]))
+        assert rep.nu_over_p_exact is None
+        assert rep.regime is sr.Regime.UNSUPPORTED
+
     def test_zero_tensor_unsupported(self):
         t = sr.CooTensor((2, 2, 2), np.empty((0, 3), dtype=np.int64), [])
         rep = sr.classify_regime(sr.make_problem(t, [[0, 1, 2]], ["3"]))

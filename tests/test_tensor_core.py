@@ -72,6 +72,14 @@ class TestCooTensor:
         assert t == sr.CooTensor((3, 3), [[2, 0]], [1.0])
         assert t.indices.dtype == np.int64
 
+    def test_nonpositive_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            sr.CooTensor((3, 0, 3), [], [])
+
+    def test_value_count_must_match_index_rows(self):
+        with pytest.raises(DimensionMismatch):
+            sr.CooTensor((2, 2), [(0, 1)], [1.0, 2.0])
+
     def test_zero_tensor_is_storable(self):
         t = sr.CooTensor((3, 3, 3), [], [])
         assert t.nnz == 0
@@ -208,6 +216,14 @@ class TestValidatePartition:
         with pytest.raises(NotAPartition):
             sr.validate_partition((3, 3, 3), [[0, 1], [1, 2]])
 
+    def test_blocks_must_be_iterables(self):
+        with pytest.raises(NotAPartition, match="iterables"):
+            sr.validate_partition((3, 3, 3), [0, 1, 2])
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(NotAPartition, match="nonempty"):
+            sr.validate_partition((3, 3, 3), [[0, 1, 2], []])
+
     def test_offsets_and_total_dim(self):
         part = sr.validate_partition((2, 3, 3), [[0], [1, 2]])
         assert part.total_dim == 5
@@ -233,6 +249,10 @@ class TestBlockVector:
         x = sr.BlockVector([[1.0, 2.0]])
         with pytest.raises(ValueError):
             x.flat[0] = 9.0
+
+    def test_needs_a_block(self):
+        with pytest.raises(ShapeMismatch):
+            sr.BlockVector([])
 
     def test_from_flat_length_mismatch(self):
         with pytest.raises(ShapeMismatch):

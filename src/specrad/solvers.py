@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    KrylovStalled,
     LineSearchFailed,
     SingularMatrix,
     SingularNewtonSystem,
@@ -182,7 +183,7 @@ def newton_step(prob: SpectralProblem, x: BlockVector, lam: float):
     """
     phi = ratio_map(prob, x).flat
     d, delta, _ = _newton_step(prob, x, phi, lam, _eigen_system(prob, x, phi, lam))
-    return BlockVector.from_flat(d, x.lengths), delta
+    return x._with_flat(d), delta
 
 
 #: Largest N solved by a dense factorization.  With forcing terms GMRES is
@@ -238,9 +239,12 @@ def _newton_step(
     bordered matrix is formed and factored; above it GMRES solves the
     equilibrated system to the relative tolerance ``rtol``, and again to
     ``_KRYLOV_RTOL`` when the looser step has a nonnegative ``delta``, or
-    raises ``KrylovStalled``."""
+    raises ``KrylovStalled``; so does a ``lam`` of 0, which the system is
+    scaled by."""
     n = x.flat.size
     if n > _DENSE_MAX_N:
+        if not lam > 0.0:
+            raise KrylovStalled("every ratio is 0 (lambda = 0): the system scaled by 1/lambda is undefined")
         matvec, diag, g = _bordered_operator(prob, x, phi, lam)
         rhs = -H
         rhs[:n] /= lam
@@ -295,13 +299,13 @@ def _line_search(prob, x, lam, d, delta, opts):
     for j in range(opts.max_backtracks + 1):
         alpha = opts.backtrack_rho ** j
         trial = x.flat + alpha * d
-        if not np.all(trial > 0.0):
+        if not (trial > 0.0).all():
             continue
-        x_next = retract(prob, BlockVector.from_flat(trial, x.lengths))
+        x_next = retract(prob, x._with_flat(trial))
         phi_next = _ratio(prob, x_next, gradient_map(prob, x_next).flat)
         lam_next = float(phi_next.max())
         if lam_next <= lam + opts.armijo_c * alpha * delta:
-            if np.any(trial < floor):
+            if (trial < floor).any():
                 _warn("accepted iterate has a component within 1e-12*|x|_inf of the positivity boundary")
             return alpha, x_next, phi_next, lam_next, j
     raise LineSearchFailed(
@@ -430,7 +434,7 @@ def power_iteration(
         return x, phi, hi, (x, hi, lo, res), G
 
     def step(x, phi, lam, res, H, G, opts):
-        x = BlockVector.from_flat(_power_update(prob, G), x.lengths)
+        x = x._with_flat(_power_update(prob, G))
         return start(x), (0.0, 1.0, 0, 0.0)
 
     return _certified_loop(prob, x0, opts, report, "power", start, step)

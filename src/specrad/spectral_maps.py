@@ -28,6 +28,7 @@ from .tensor_core import (
     BlockVector,
     CooTensor,
     ShapePartition,
+    _jacobian_cells,
     _jacobian_weights,
     conform,
     gradient_map,
@@ -74,6 +75,10 @@ class SpectralProblem:
     ``p_exact`` optionally carries the exponents as exact rationals; when
     present, the regime classifier decides the knife-edge test
     ``sum(nu_i / p_i) == 1`` by exact arithmetic instead of a tolerance.
+
+    The per-coordinate exponents and block indices the maps read at every
+    iterate, and the dense Jacobian's cells, are computed on first use and
+    kept read-only; equality and hashing see the four fields only.
     """
 
     tensor: CooTensor
@@ -111,9 +116,30 @@ class SpectralProblem:
     @cached_property
     def _p_flat(self) -> np.ndarray:
         """Per-coordinate exponents: ``p_i`` repeated over block ``i``."""
-        pe = np.repeat(self.p, self.partition.block_dims)
-        pe.setflags(write=False)
-        return pe
+        return _read_only(np.repeat(self.p, self.partition.block_dims))
+
+    @cached_property
+    def _p_minus_one(self) -> np.ndarray:
+        """``p - 1`` per coordinate, the exponent of the ratio denominator."""
+        return _read_only(self._p_flat - 1.0)
+
+    @cached_property
+    def _power_exponent(self) -> np.ndarray:
+        """``p' - 1 = p/(p - 1) - 1`` per coordinate, the power-map exponent."""
+        return _read_only(self._p_flat / self._p_minus_one - 1.0)
+
+    @cached_property
+    def _inv_p(self) -> np.ndarray:
+        """``1/p_i`` per block, the exponent taking sums of powers to norms."""
+        return _read_only(1.0 / np.asarray(self.p))
+
+    @cached_property
+    def _coord_block(self) -> np.ndarray:
+        """Block index of each coordinate, to spread per-block values."""
+        return _read_only(np.repeat(np.arange(self.d), self.partition.block_dims))
+
+    #: Cells of the dense Jacobian, built with the first one (GMRES forms none).
+    _jacobian_cells = cached_property(lambda self: _read_only(_jacobian_cells(self)))
 
     @property
     def nu_over_p(self) -> float:
@@ -122,6 +148,11 @@ class SpectralProblem:
     def ones(self) -> BlockVector:
         """All-ones block vector conforming to the partition."""
         return BlockVector([np.ones(n) for n in self.partition.block_dims])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def make_problem(tensor: CooTensor, blocks, p) -> SpectralProblem:
@@ -158,7 +189,7 @@ def make_problem(tensor: CooTensor, blocks, p) -> SpectralProblem:
 
 def require_positive(x: BlockVector) -> None:
     """Raise unless every component of ``x`` is strictly positive."""
-    if not np.all(x.flat > 0.0):
+    if not (x.flat > 0.0).all():
         raise NonPositiveInput("vector must be strictly positive componentwise")
 
 
@@ -169,14 +200,14 @@ def require_positive(x: BlockVector) -> None:
 def _ratio(prob: SpectralProblem, x: BlockVector, G: np.ndarray) -> np.ndarray:
     """Flat ratios ``G / x**(p - 1)`` from the flat gradient map ``G`` at ``x > 0``."""
     require_positive(x)
-    return G / x.flat ** (prob._p_flat - 1.0)
+    return G / x.flat ** prob._p_minus_one
 
 
 def ratio_map(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Componentwise Collatz-Wielandt ratios: block ``i`` is
     ``gradient_map(x)_i / x_i**(p_i - 1)``.  Requires ``x > 0``."""
     conform(prob.partition, x)
-    return BlockVector.from_flat(_ratio(prob, x, gradient_map(prob, x).flat), x.lengths)
+    return x._with_flat(_ratio(prob, x, gradient_map(prob, x).flat))
 
 
 def ratio_max(prob: SpectralProblem, x: BlockVector) -> float:
@@ -200,7 +231,7 @@ def ratio_jacobian(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
     pe = prob._p_flat
     G = gradient_map(prob, x).flat
     DPhi = gradient_map_jacobian(prob, x) * (x.flat ** (1.0 - pe))[:, None]
-    DPhi[np.diag_indices_from(DPhi)] -= (pe - 1.0) * G * x.flat ** (-pe)
+    DPhi.flat[:: DPhi.shape[0] + 1] -= prob._p_minus_one * G * x.flat ** (-pe)
     return DPhi
 
 
@@ -210,13 +241,13 @@ def ratio_jacobian(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
 
 def _block_norms(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
     sums = np.add.reduceat(np.abs(x.flat) ** prob._p_flat, prob.partition.offsets)
-    return sums ** (1.0 / np.asarray(prob.p))
+    return sums ** prob._inv_p
 
 
 def _norm_product_grad(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
     norms = _block_norms(prob, x)
     pe = prob._p_flat
-    return float(norms.prod()) * np.repeat(norms, x.lengths) ** (-pe) * x.flat ** (pe - 1.0)
+    return float(norms.prod()) * norms[prob._coord_block] ** (-pe) * x.flat ** prob._p_minus_one
 
 
 def norm_product(prob: SpectralProblem, x: BlockVector) -> float:
@@ -229,25 +260,25 @@ def norm_product_grad(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Gradient of :func:`norm_product` at ``x > 0``."""
     conform(prob.partition, x)
     require_positive(x)
-    return BlockVector.from_flat(_norm_product_grad(prob, x), x.lengths)
+    return x._with_flat(_norm_product_grad(prob, x))
 
 
 def normalize_blocks(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Scale each block to unit p-norm."""
     conform(prob.partition, x)
     norms = _block_norms(prob, x)
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise ZeroNormBlock("cannot normalize a block with zero norm")
-    return BlockVector.from_flat(x.flat / np.repeat(norms, x.lengths), x.lengths)
+    return x._with_flat(x.flat / norms[prob._coord_block])
 
 
 def retract(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Rescale ``x`` by a single scalar onto the surface ``norm_product == 1``."""
     conform(prob.partition, x)
-    c = norm_product(prob, x)
+    c = float(_block_norms(prob, x).prod())
     if c == 0.0:
         raise ZeroNormBlock("retraction undefined when a block has zero norm")
-    return BlockVector.from_flat(x.flat / c ** (1.0 / prob.d), x.lengths)
+    return x._with_flat(x.flat / c ** (1.0 / prob.d))
 
 
 # --------------------------------------------------------------------------
@@ -257,14 +288,17 @@ def retract(prob: SpectralProblem, x: BlockVector) -> BlockVector:
 # The private kernels take the flat ratios ``phi`` already evaluated at ``x``.
 
 def _eigen_system(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float) -> np.ndarray:
-    return np.append(lam * x.flat - phi * x.flat, _block_norms(prob, x).prod() - 1.0)
+    H = np.empty(x.flat.size + 1)
+    np.subtract(lam * x.flat, phi * x.flat, out=H[:-1])
+    H[-1] = _block_norms(prob, x).prod() - 1.0
+    return H
 
 
 def _residual_jacobian(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float) -> np.ndarray:
     pe = prob._p_flat
     J = gradient_map_jacobian(prob, x)
     J *= -(x.flat ** (2.0 - pe))[:, None]
-    J[np.diag_indices_from(J)] += lam + (pe - 2.0) * phi
+    J.flat[:: J.shape[0] + 1] += lam + (pe - 2.0) * phi
     return J
 
 
@@ -330,7 +364,7 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
 
 def eigen_residual(prob: SpectralProblem, x: BlockVector, lam: float) -> BlockVector:
     """Residual ``lam * x - ratio_map(x) * x`` (zero exactly at eigenpairs)."""
-    return BlockVector.from_flat(eigen_system(prob, x, lam)[:-1], x.lengths)
+    return x._with_flat(eigen_system(prob, x, lam)[:-1])
 
 
 def eigen_system(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarray:
@@ -356,8 +390,7 @@ def newton_matrix(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarr
 
 def _power_update(prob: SpectralProblem, G: np.ndarray) -> np.ndarray:
     """Flat power-map values ``G**(p' - 1)`` from the flat gradient map ``G``."""
-    pe = prob._p_flat
-    return G ** (pe / (pe - 1.0) - 1.0)
+    return G ** prob._power_exponent
 
 
 def power_map(prob: SpectralProblem, x: BlockVector) -> BlockVector:
@@ -365,7 +398,7 @@ def power_map(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     ``gradient_map(x)_i ** (p'_i - 1)`` with ``p'`` the Hoelder conjugate.
     Defined for ``x >= 0``."""
     conform(prob.partition, x)
-    return BlockVector.from_flat(_power_update(prob, gradient_map(prob, x).flat), x.lengths)
+    return x._with_flat(_power_update(prob, gradient_map(prob, x).flat))
 
 
 @dataclass(frozen=True)
@@ -470,17 +503,17 @@ def log_ratio_map(prob: SpectralProblem, y: BlockVector, guard: float = 300.0) -
     property tests probe.
     """
     _guard_exponents(prob, y, guard)
-    x = BlockVector.from_flat(np.exp(y.flat), y.lengths)
+    x = y._with_flat(np.exp(y.flat))
     G = gradient_map(prob, x).flat
     with np.errstate(divide="ignore"):
-        return BlockVector.from_flat(np.log(G) - (prob._p_flat - 1.0) * y.flat, y.lengths)
+        return y._with_flat(np.log(G) - prob._p_minus_one * y.flat)
 
 
 def log_ratio_jacobian(prob: SpectralProblem, y: BlockVector, guard: float = 300.0) -> np.ndarray:
     """Exact Jacobian of :func:`log_ratio_map`, assembled from the ratio-map
     Jacobian by the chain rule."""
     _guard_exponents(prob, y, guard)
-    x = BlockVector.from_flat(np.exp(y.flat), y.lengths)
+    x = y._with_flat(np.exp(y.flat))
     phi = ratio_map(prob, x)
     DPhi = ratio_jacobian(prob, x)
     return DPhi * x.flat[None, :] / phi.flat[:, None]

@@ -18,7 +18,8 @@ contiguous memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -184,7 +185,9 @@ class ShapePartition:
     """Grouping of the modes of a tensor into ordered blocks of equal dimension.
 
     Use :func:`validate_partition` to construct one from raw block lists; the
-    constructor itself performs no validation.
+    constructor itself performs no validation.  The derived layout
+    (``order``, ``total_dim``, ``offsets``, ``mode_block``) is computed on
+    first use and kept; equality and hashing see the four fields only.
 
     Attributes
     ----------
@@ -208,26 +211,22 @@ class ShapePartition:
         """Number of blocks."""
         return len(self.blocks)
 
-    @property
+    @cached_property
     def order(self) -> int:
         """Total number of modes."""
         return sum(self.nu)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         """Dimension of the concatenated block-vector space."""
         return sum(self.block_dims)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Start offset of each block inside a flat concatenated vector."""
-        out, acc = [], 0
-        for n in self.block_dims:
-            out.append(acc)
-            acc += n
-        return tuple(out)
+        return tuple(accumulate(self.block_dims[:-1], initial=0))
 
-    @property
+    @cached_property
     def mode_block(self) -> tuple[int, ...]:
         """Block index owning each mode, listed in mode order."""
         out = [0] * self.order
@@ -289,8 +288,10 @@ def validate_partition(dims, blocks) -> ShapePartition:
 class BlockVector:
     """Element of a product of coordinate spaces, stored as one flat array.
 
-    Immutable; arithmetic returns new instances.  ``block(i)`` gives a
-    read-only view of block ``i``; ``flat`` is the concatenation.
+    Immutable: ``flat``, the concatenation, is a read-only float64 array no
+    other object can write to, and ``block(i)`` a view of block ``i``.  The
+    constructor and :meth:`from_flat` copy their input; arithmetic returns
+    new instances.
     """
 
     __slots__ = ("flat", "lengths", "_offsets")
@@ -299,12 +300,13 @@ class BlockVector:
         arrs = [np.asarray(b, dtype=np.float64).ravel() for b in blocks]
         if not arrs:
             raise ShapeMismatch("a block vector needs at least one block")
-        flat = np.concatenate(arrs)
+        self._freeze(np.concatenate(arrs), tuple(a.size for a in arrs))
+
+    def _freeze(self, flat: np.ndarray, lengths: tuple[int, ...], offsets=None) -> None:
         flat.setflags(write=False)
         object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "lengths", tuple(a.size for a in arrs))
-        offs = np.concatenate([[0], np.cumsum([a.size for a in arrs])])
-        object.__setattr__(self, "_offsets", offs)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "_offsets", offsets or tuple(accumulate(lengths, initial=0)))
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockVector is immutable")
@@ -312,17 +314,20 @@ class BlockVector:
     @classmethod
     def from_flat(cls, flat, lengths) -> "BlockVector":
         flat = np.asarray(flat, dtype=np.float64).ravel()
+        lengths = tuple(int(n) for n in lengths)
         if flat.size != sum(lengths):
             raise ShapeMismatch(
                 f"flat vector of size {flat.size} cannot split into blocks {lengths}"
             )
         out = cls.__new__(cls)
-        frozen = flat.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(out, "flat", frozen)
-        object.__setattr__(out, "lengths", tuple(int(n) for n in lengths))
-        offs = np.concatenate([[0], np.cumsum(lengths)])
-        object.__setattr__(out, "_offsets", offs)
+        out._freeze(flat.copy(), lengths)
+        return out
+
+    def _with_flat(self, flat: np.ndarray) -> "BlockVector":
+        """This vector's blocks holding ``flat``, a fresh float64 array of its
+        size that no one else refers to; taken over uncopied and frozen."""
+        out = BlockVector.__new__(BlockVector)
+        out._freeze(flat, self.lengths, self._offsets)
         return out
 
     @property
@@ -339,20 +344,20 @@ class BlockVector:
     def __add__(self, other):
         if not isinstance(other, BlockVector) or other.lengths != self.lengths:
             return NotImplemented
-        return BlockVector.from_flat(self.flat + other.flat, self.lengths)
+        return self._with_flat(self.flat + other.flat)
 
     def __sub__(self, other):
         if not isinstance(other, BlockVector) or other.lengths != self.lengths:
             return NotImplemented
-        return BlockVector.from_flat(self.flat - other.flat, self.lengths)
+        return self._with_flat(self.flat - other.flat)
 
     def __mul__(self, scalar):
-        return BlockVector.from_flat(self.flat * float(scalar), self.lengths)
+        return self._with_flat(self.flat * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return BlockVector.from_flat(-self.flat, self.lengths)
+        return self._with_flat(-self.flat)
 
     def __repr__(self) -> str:
         return f"BlockVector(lengths={self.lengths})"
@@ -453,7 +458,8 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
         for f in fac[s + 1:]:
             w = w * f
         blocks.append(np.bincount(idx[:, s], weights=w, minlength=n))
-    return BlockVector(blocks)
+    # with no entries stored, bincount counts in int64
+    return x._with_flat(np.concatenate(blocks, dtype=np.float64))
 
 
 def _jacobian_weights(prob, x: BlockVector):
@@ -485,25 +491,20 @@ def _jacobian_weights(prob, x: BlockVector):
     return blocks
 
 
-def _jacobian_triplets(prob, x: BlockVector):
-    """Entries of the gradient-map Jacobian at ``x`` as ``(rows, cols, w)``.
-
-    Row ``rows[k]``, column ``cols[k]`` receives ``w[k]``; a coordinate
-    repeats once per stored entry and mode pair that reaches it, and the
-    repeats are left unsummed.  The order is block by block, then mode by
-    mode, then entry by entry, so summing in array order gives the dense
-    Jacobian bit for bit.  The weights are :func:`_jacobian_weights`.
-    """
+def _jacobian_cells(prob) -> np.ndarray:
+    """Flat position ``row * N + col`` in the dense Jacobian of each weight of
+    :func:`_jacobian_weights`, in its order, so that summing the weights in
+    order gives the dense Jacobian bit for bit.  They depend on the problem
+    only, which keeps them (``SpectralProblem._jacobian_cells``)."""
     part = prob.partition
     idx = prob.tensor.indices
-    offs, mb = part.offsets, part.mode_block
-    rows, cols, w = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for i, (s, pairs) in enumerate(zip(part.starts, _jacobian_weights(prob, x))):
-        for q, wq in pairs:
-            rows.append(offs[i] + idx[:, s])
-            cols.append(offs[mb[q]] + idx[:, q])
-            w.append(wq)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(w)
+    n, offs, mb = part.total_dim, part.offsets, part.mode_block
+    cells = [np.zeros(0, dtype=np.int64)]
+    for i, s in enumerate(part.starts):
+        for q in range(part.order):
+            if q != s:
+                cells.append((offs[i] + idx[:, s]) * n + (offs[mb[q]] + idx[:, q]))
+    return np.concatenate(cells)
 
 
 def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
@@ -511,12 +512,12 @@ def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
 
     Row block ``i`` / column block ``l`` holds the derivative of gradient
     block ``i`` with respect to the variables of block ``l``.  The weights
-    of :func:`_jacobian_weights` are expanded to their coordinates and
-    summed in order by one ``bincount``.  Cost is ``O(nnz * m^2)`` plus the
-    dense accumulation.
+    of :func:`_jacobian_weights` are summed in order into the problem's
+    :func:`_jacobian_cells` by one ``bincount``.  Cost is ``O(nnz * m^2)``
+    plus the dense accumulation.
     """
     n = prob.partition.total_dim
-    rows, cols, w = _jacobian_triplets(prob, x)
-    DG = np.bincount(rows * n + cols, weights=w, minlength=n * n)
+    w = [wq for pairs in _jacobian_weights(prob, x) for _, wq in pairs]
+    DG = np.bincount(prob._jacobian_cells, weights=np.concatenate([np.zeros(0), *w]), minlength=n * n)
     # with no weights at all, bincount counts in int64
     return DG.astype(np.float64, copy=False).reshape(n, n)

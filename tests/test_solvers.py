@@ -328,9 +328,18 @@ class TestNewtonNoda:
         t = sr.CooTensor((n, n, n), np.zeros((nnz, 3), dtype=np.int64), [0.0] * nnz)
         prob = sr.make_problem(t, [[0], [1], [2]], ["4", "4", "4"])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "structural assumptions", RuntimeWarning)
             with pytest.raises(error):
                 sr.newton_noda(prob)
+
+    @pytest.mark.filterwarnings("ignore:structural assumptions")
+    def test_all_zero_ratios_on_the_krylov_path_name_the_cause(self):
+        # no numpy warning may come first: the suite turns any RuntimeWarning
+        # raised in specrad's own frames into an error
+        t = sr.CooTensor((101,) * 3, np.zeros((0, 3), dtype=np.int64), [])
+        prob = sr.make_problem(t, [[0], [1], [2]], ["4", "4", "4"])
+        with pytest.raises(KrylovStalled, match="every ratio is 0"):
+            sr.newton_noda(prob)
 
     def test_warns_on_unsupported_regime(self, ref_tensor):
         prob = sr.make_problem(ref_tensor, [[0], [1, 2]], ["2", "4"])
@@ -523,6 +532,28 @@ class TestPowerIteration:
             tracemalloc.stop()
         assert res.converged
         assert peak < 16e6
+
+
+#: Iterations each method takes on the nine benchmark cases from the default
+#: start and options.  Reworking how an iterate is computed must not move them.
+BENCH_ITERATIONS = {
+    "1,2,3|p=3": (4, 45),
+    "1,2,3|p=4": (4, 26),
+    "1,2,3|p=5": (4, 20),
+    "1;2,3|p=2,4": (8, 191),
+    "1;2,3|p=3,5": (6, 38),
+    "1;2,3|p=4,6": (5, 26),
+    "1;2;3|p=3,3,3": (5, 72),
+    "1;2;3|p=4,4,4": (5, 42),
+    "1;2;3|p=5,5,5": (5, 30),
+}
+
+
+@pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
+def test_bench_case_iteration_counts_are_pinned(case):
+    prob = sr.make_problem(sr.reference_tensor(), case.blocks, case.p)
+    counts = tuple(solve_quiet(prob, method=m).iterations for m in ("lsnnm", "power"))
+    assert counts == BENCH_ITERATIONS[bench_case_id(case)]
 
 
 class TestSolveDispatcher:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import specrad as sr
-from specrad.errors import NonPositiveInput, OverflowGuard, ZeroNormBlock
+from specrad.errors import NonPositiveInput, OverflowGuard, SpecradError, ZeroNormBlock
 from specrad.spectral_maps import _bordered_operator, _newton_matrix, _residual_jacobian
 
 from conftest import block_problems, bv, fd_grad, fd_jacobian, random_positive, rel_err
@@ -44,6 +44,26 @@ class TestProblemConstruction:
         prob_f = sr.make_problem(ref_tensor, [[0], [1, 2]], [2.0, 4.0])
         assert prob_f.p_exact is None
 
+    def test_cached_arrays_change_no_comparison(self, nine_problem):
+        prob, _ = nine_problem
+        key = hash(prob)
+        sr.gradient_map_jacobian(prob, prob.ones())  # fills the Jacobian cells
+        cached = {
+            name: getattr(prob, name)
+            for name in ("_p_flat", "_p_minus_one", "_power_exponent", "_inv_p", "_coord_block")
+        }
+        assert set(cached) | {"_jacobian_cells"} <= set(vars(prob))
+        fresh = sr.make_problem(prob.tensor, prob.partition.blocks, prob.p_exact)
+        assert prob == fresh and hash(prob) == key == hash(fresh)
+        assert all(not a.flags.writeable for a in cached.values())
+        dims = prob.partition.block_dims
+        pe = np.concatenate([np.full(n, pi) for n, pi in zip(dims, prob.p)])
+        assert np.array_equal(cached["_p_flat"], pe)
+        assert np.array_equal(cached["_p_minus_one"], pe - 1.0)
+        assert np.array_equal(cached["_power_exponent"], pe / (pe - 1.0) - 1.0)
+        assert np.array_equal(cached["_inv_p"], [1.0 / pi for pi in prob.p])
+        assert np.array_equal(cached["_coord_block"], [i for i, n in enumerate(dims) for _ in range(n)])
+
     def test_numpy_integer_p_is_exact(self, ref_tensor):
         singletons = [[0], [1], [2]]
         prob = sr.make_problem(ref_tensor, singletons, np.array([3, 3, 3]))
@@ -76,6 +96,30 @@ class TestProblemConstruction:
     def test_float_p_accepted(self, ref_tensor):
         prob = sr.make_problem(ref_tensor, [[0, 1, 2]], [3.5])
         assert prob.p == (3.5,)
+
+
+class TestNoAliasing:
+    """Every block vector a map or a solve hands back owns a frozen array,
+    and the caller's vector is left as it was."""
+
+    @pytest.mark.filterwarnings("ignore:structural assumptions")
+    @pytest.mark.filterwarnings("ignore:accepted iterate")
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(prob=block_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_results_are_frozen_and_share_nothing(self, prob, seed):
+        x = random_positive(prob, np.random.default_rng(seed))
+        before = x.flat.tobytes()
+        maps = (sr.gradient_map, sr.ratio_map, sr.power_map, sr.normalize_blocks, sr.retract)
+        outs = [f(prob, x) for f in maps]
+        for method in ("lsnnm", "power"):
+            try:
+                outs.append(sr.solve(prob, x, sr.SolverOptions(max_iter=3), method=method).x)
+            except SpecradError:
+                pass
+        for y in outs:
+            assert not y.flat.flags.writeable
+            assert not np.shares_memory(y.flat, x.flat)
+        assert x.flat.tobytes() == before
 
 
 class TestRatioMap:

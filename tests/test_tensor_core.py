@@ -17,7 +17,7 @@ from specrad.errors import (
     ShapeMismatch,
     UnequalDimsInBlock,
 )
-from specrad.tensor_core import _canonical, _jacobian_triplets, _lexsort_canonical
+from specrad.tensor_core import _canonical, _jacobian_weights, _lexsort_canonical
 
 from conftest import (
     block_problems,
@@ -29,6 +29,24 @@ from conftest import (
     random_positive,
     rel_err,
 )
+
+
+def jacobian_triplets(prob, x):
+    """``(rows, cols, w)`` of the gradient-map Jacobian at ``x``: row
+    ``offset(i) + e_s`` and column ``offset(block of q) + e_q`` receive the
+    weight of entry ``e``, for each block ``i`` with leading mode ``s`` and
+    each other mode ``q``, listed block by block, then mode by mode, then
+    entry by entry."""
+    part = prob.partition
+    idx = prob.tensor.indices
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    w = [np.zeros(0)]
+    for i, (s, pairs) in enumerate(zip(part.starts, _jacobian_weights(prob, x))):
+        for q, wq in pairs:
+            rows.append(part.offsets[i] + idx[:, s])
+            cols.append(part.offsets[part.mode_block[q]] + idx[:, q])
+            w.append(wq)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(w)
 
 
 class TestCooTensor:
@@ -229,6 +247,24 @@ class TestValidatePartition:
         assert part.total_dim == 5
         assert part.offsets == (0, 2)
 
+    @pytest.mark.parametrize(
+        "blocks", [[[0, 1, 2, 3]], [[0], [1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]]
+    )
+    def test_cached_layout_changes_no_comparison(self, blocks):
+        dims = [2 + i for i, blk in enumerate(blocks) for _ in blk]
+        part = sr.validate_partition(dims, blocks)
+        key = hash(part)
+        layout = (part.order, part.total_dim, part.offsets, part.mode_block)
+        assert {"order", "total_dim", "offsets", "mode_block"} <= set(vars(part))
+        fresh = sr.validate_partition(dims, blocks)
+        assert part == fresh and hash(part) == key == hash(fresh)
+        assert layout == (
+            len(dims),
+            sum(part.block_dims),
+            tuple(int(o) for o in np.cumsum((0,) + part.block_dims[:-1])),
+            tuple(i for i, blk in enumerate(blocks) for _ in blk),
+        )
+
 
 class TestBlockVector:
     def test_roundtrip_blocks_flat(self):
@@ -253,6 +289,22 @@ class TestBlockVector:
     def test_needs_a_block(self):
         with pytest.raises(ShapeMismatch):
             sr.BlockVector([])
+
+    def test_constructors_copy_their_input(self):
+        src = np.array([1.0, 2.0, 3.0])
+        for x in (sr.BlockVector([src[:1], src[1:]]), sr.BlockVector.from_flat(src, (1, 2))):
+            assert not np.shares_memory(x.flat, src) and not x.flat.flags.writeable
+            src[0] = 9.0
+            assert x.flat[0] == 1.0
+            src[0] = 1.0
+        assert src.flags.writeable
+
+    def test_arithmetic_results_are_frozen(self):
+        x = sr.BlockVector([[1.0], [2.0, 3.0]])
+        for y in (x + x, x - x, 2.0 * x, -x):
+            assert y.lengths == x.lengths and not y.flat.flags.writeable
+            assert not np.shares_memory(y.flat, x.flat)
+            assert_allclose(y.block(1), y.flat[1:])
 
     def test_from_flat_length_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -457,11 +509,28 @@ class TestGradientMapJacobian:
     def test_is_the_in_order_sum_of_its_triplets(self, nine_problem):
         prob, _ = nine_problem
         x = random_positive(prob, np.random.default_rng(3))
-        rows, cols, w = _jacobian_triplets(prob, x)
+        rows, cols, w = jacobian_triplets(prob, x)
         n = prob.partition.total_dim
         ref = np.zeros((n, n))
         np.add.at(ref, (rows, cols), w)
         assert sr.gradient_map_jacobian(prob, x).tobytes() == ref.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(prob=block_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_cached_cells_are_the_triplet_coordinates(self, prob, seed):
+        # the cells are kept from the first dense Jacobian on; the second
+        # Jacobian reads them back, and both are the in-order triplet sum
+        assert "_jacobian_cells" not in vars(prob)
+        x = random_positive(prob, np.random.default_rng(seed))
+        rows, cols, w = jacobian_triplets(prob, x)
+        n = prob.partition.total_dim
+        ref = np.zeros((n, n))
+        np.add.at(ref, (rows, cols), w)
+        for _ in range(2):
+            assert sr.gradient_map_jacobian(prob, x).tobytes() == ref.tobytes()
+        cells = prob._jacobian_cells
+        assert not cells.flags.writeable
+        assert np.array_equal(cells, rows * n + cols)
 
     def test_zero_tensor_gives_zero_jacobian(self):
         t = sr.CooTensor((2, 2, 2), [], [])

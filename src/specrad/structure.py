@@ -10,14 +10,11 @@ assumption holds and which regime applies; solvers warn but do not refuse
 when the combination is unsupported.
 
 Both checks run on the coupling digraph, built straight from the tensor's
-positive entries without forming the dense structure matrix: its arcs are
-that matrix's positive entries, and ``M_nnz`` is the number of distinct arcs
-of the coupling digraph (= ``count_nonzero(structure_matrix)``).  An arc
-``row -> col`` is coded ``row << shift | col`` in int32 when every code
-fits, else in int64, sorted, deduplicated, and split back by shift and
-mask; out-degrees and CSR pointers come from ``bincount``.
-Strong connectivity is a forward and a backward breadth-first search from
-one vertex, each stopping as soon as all vertices are seen.
+positive entries without forming the dense structure matrix (see
+``_coupling_digraph``); ``M_nnz`` is its number of distinct arcs
+(= ``count_nonzero(structure_matrix)``).  Strong connectivity is a
+breadth-first search from one vertex, plus one on the transpose unless
+every block is a single mode, which makes the digraph symmetric.
 """
 from __future__ import annotations
 
@@ -97,41 +94,57 @@ def structure_matrix(prob: SpectralProblem) -> np.ndarray:
     return gradient_map_jacobian(prob, prob.ones())
 
 
-def _distinct(sorted_codes: np.ndarray) -> np.ndarray:
-    """Distinct values of a sorted integer array; a neighbour mask, which is
-    much cheaper here than ``np.unique``."""
-    keep = np.empty(sorted_codes.size, dtype=bool)
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Distinct values of a sorted integer array, moved to its front in place
+    2**16 at a time; a neighbour mask is much cheaper here than ``np.unique``."""
+    keep = np.empty(codes.size, dtype=bool)
     keep[:1] = True
-    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=keep[1:])
-    return sorted_codes[keep]
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    m = 0
+    for a in range(0, codes.size, 1 << 16):
+        piece = codes[a:a + (1 << 16)][keep[a:a + (1 << 16)]]
+        codes[m:m + piece.size] = piece
+        m += piece.size
+    return codes[:m]
 
 
-def _reaches_all(deg: np.ndarray, heads: np.ndarray, n: int) -> bool:
+def _reaches_all(first: np.ndarray, deg: np.ndarray, heads: np.ndarray, n: int) -> bool:
     """True when a breadth-first search from vertex 0 visits all ``n``
-    vertices.  ``deg[v]`` is the out-degree of ``v`` and ``heads`` lists the
-    arc heads grouped by tail in vertex order (CSR).  Each level costs
-    O(arcs leaving its frontier), so a long path is cheap, and the search
-    stops as soon as every vertex is seen."""
-    first = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(deg, out=first[1:])
+    vertices; the heads of ``v`` are ``heads[first[v]:first[v] + deg[v]]``.
+    A level is expanded about 4·n arcs at a time, and the search returns as
+    soon as every vertex is seen.  Each level makes about ten numpy calls, so
+    a long path is not cheap: a 50,000-vertex cycle takes over a second."""
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     slot = np.empty(n, dtype=np.intp)
     front = np.zeros(1, dtype=np.intp)
-    count = 1
+    count, step = 1, 4 * n
     while front.size and count < n:
-        lo, d = first[front], deg[front]
-        arcs = np.repeat(lo - (np.cumsum(d) - d), d) + np.arange(d.sum())
-        front = heads[arcs]
-        front = front[~seen[front]]
-        # Deduplicate: of the positions holding one vertex, exactly one is
-        # the position the last write to its slot left there.
-        k = np.arange(front.size)
-        slot[front] = k
-        front = front[slot[front] == k]
-        seen[front] = True
-        count += front.size
+        d = deg[front]
+        ends = np.cumsum(d)
+        offs = first[front] - ends + d  # arc position minus position in level
+        cuts = [] if ends[-1] <= step else np.searchsorted(ends, range(step, ends[-1], step))
+        found = []
+        for a, b in zip([0, *cuts], [*cuts, front.size]):
+            nxt = heads[np.repeat(offs[a:b], d[a:b]) + np.arange(ends[a] - d[a], ends[b - 1])]
+            nxt = nxt[~seen[nxt]]
+            if b - a > 1:  # dedupe (one tail's heads are distinct): the last slot write wins
+                k = np.arange(nxt.size)
+                slot[nxt] = k
+                nxt = nxt[slot[nxt] == k]
+            seen[nxt] = True
+            count += nxt.size
+            if count == n:
+                return True
+            found.append(nxt)
+        front = found[0] if len(found) == 1 else np.concatenate(found)
     return count == n
+
+
+def _csr(arcs: np.ndarray, n: int, shift: int) -> tuple[np.ndarray, ...]:
+    """CSR ``(first, deg, heads)`` of sorted distinct codes; heads overwrite them."""
+    first = np.searchsorted(arcs, np.arange(n + 1, dtype=arcs.dtype) << shift)
+    return first, np.diff(first), np.bitwise_and(arcs, (1 << shift) - 1, out=arcs)
 
 
 def _coupling_digraph(prob: SpectralProblem) -> tuple[bool, bool, int]:
@@ -142,47 +155,43 @@ def _coupling_digraph(prob: SpectralProblem) -> tuple[bool, bool, int]:
     leading mode ``s`` and every other mode ``q``, the arc
     ``offs[i] + e[s] -> offs[mode_block[q]] + e[q]``: exactly the positive
     entries of the structure matrix.  Arcs are coded ``row << shift | col``
-    in int32 when every code fits, else in int64, and deduplicated by
-    sorting.
+    in int32 when every code fits, else in int64, sorted and deduplicated in
+    place; a ``searchsorted`` of the codes gives the CSR pointers, and a mask
+    leaves the heads.
     """
     part = prob.partition
     n = part.total_dim
     tensor = prob.tensor
     shift = (n - 1).bit_length()
-    mask = (1 << shift) - 1
     # int8 and int16 codes would page in numpy kernels that nothing else
     # uses (about 0.4 MB resident), more than such small arrays save
     top = (n - 1) << shift | (n - 1)
     dt = np.int32 if top <= np.iinfo(np.int32).max else np.int64
     positive = tensor.values > 0.0
     keep = slice(None) if positive.all() else positive
-    vert = []
-    for q, i in enumerate(part.mode_block):
-        v = tensor.indices[keep, q].astype(dt)
-        v += part.offsets[i]
-        vert.append(v)
+    vert = [np.add(tensor.indices[keep, q], part.offsets[i], dtype=dt)
+            for q, i in enumerate(part.mode_block)]
     pairs = [(s, q) for s in part.starts for q in range(part.order) if q != s]
     nz = vert[0].size
     codes = np.empty(len(pairs) * nz, dtype=dt)
     for j, (s, q) in enumerate(pairs):
         np.bitwise_or(vert[s] << shift, vert[q], out=codes[j * nz:(j + 1) * nz])
+    del vert
     codes.sort()
-    arcs = _distinct(codes)
-    tails, heads = arcs >> shift, arcs & mask
-    deg = np.bincount(tails, minlength=n)
+    first, deg, heads = _csr(_distinct(codes), n, shift)
     strict = bool(deg.all())
     # Strong connectivity on two or more vertices gives every vertex an
     # out-arc, and one vertex counts as irreducible only with its self-loop,
-    # so ``strict`` is necessary either way; then G and its transpose must
-    # both be reached from vertex 0.
-    weak = (
-        strict
-        and _reaches_all(deg, heads, n)
-        and _reaches_all(
-            np.bincount(heads, minlength=n), np.sort(heads << shift | tails) & mask, n
-        )
-    )
-    return strict, weak, int(arcs.size)
+    # so ``strict`` is necessary either way; then G must be reached from
+    # vertex 0, and so must its transpose unless every block is one mode:
+    # then each entry gives every arc with its reverse, so G is symmetric.
+    weak = strict and _reaches_all(first, deg, heads, n)
+    if weak and part.order != part.d:
+        heads <<= shift  # the transpose's codes, in place
+        heads |= np.repeat(np.arange(n, dtype=dt), deg)
+        heads.sort()
+        weak = _reaches_all(*_csr(heads, n, shift), n)
+    return strict, weak, heads.size
 
 
 def is_strictly_nonneg(prob: SpectralProblem) -> bool:

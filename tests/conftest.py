@@ -122,32 +122,55 @@ def matrix_tensor(A: np.ndarray) -> sr.CooTensor:
     return sr.CooTensor(A.shape, np.stack([rows, cols], axis=1), A[rows, cols])
 
 
-@st.composite
-def block_problems(draw, max_block_dim=3, values=st.sampled_from([0.0, 0.5, 1.0, 3.0])):
-    """Order 2-4 tensors over every partition shape, block dims 1 to
-    ``max_block_dim``, with up to 30 entries drawn from ``values`` (possibly
-    none stored, or all of them 0.0 when ``values`` holds it)."""
-    order = draw(st.integers(2, 4))
-    # nondecreasing block sizes summing to the order; a remainder smaller
-    # than the block just drawn is merged into it
-    sizes, left = [], order
+def _block_sizes(draw):
+    """Nondecreasing block sizes summing to an order of 2-4: every partition
+    shape of the modes into consecutive blocks."""
+    sizes, left = [], draw(st.integers(2, 4))
     while left:
+        # a remainder smaller than the block just drawn is merged into it
         k = draw(st.integers(sizes[-1] if sizes else 1, left))
         if left - k and left - k < k:
             k = left
         sizes.append(k)
         left -= k
+    return sizes
+
+
+def _problem(sizes, dims, idx, vals):
+    tensor = sr.CooTensor(dims, idx, vals)
+    starts = np.cumsum([0] + sizes)
+    blocks = [list(range(a, b)) for a, b in zip(starts[:-1], starts[1:])]
+    return sr.make_problem(tensor, blocks, ["3"] * len(sizes))
+
+
+@st.composite
+def block_problems(draw, max_block_dim=3, values=st.sampled_from([0.0, 0.5, 1.0, 3.0])):
+    """Order 2-4 tensors over every partition shape, block dims 1 to
+    ``max_block_dim``, with up to 30 entries drawn from ``values`` (possibly
+    none stored, or all of them 0.0 when ``values`` holds it)."""
+    sizes = _block_sizes(draw)
     block_dims = [draw(st.integers(1, max_block_dim)) for _ in sizes]
     dims = [n for n, k in zip(block_dims, sizes) for _ in range(k)]
     entries = draw(st.lists(
         st.tuples(st.tuples(*(st.integers(0, n - 1) for n in dims)), values),
         max_size=30,
     ))
-    idx = np.array([e for e, _ in entries], dtype=np.int64).reshape(-1, order)
-    tensor = sr.CooTensor(dims, idx, [v for _, v in entries])
-    starts = np.cumsum([0] + sizes)
-    blocks = [list(range(a, b)) for a, b in zip(starts[:-1], starts[1:])]
-    return sr.make_problem(tensor, blocks, ["3"] * len(sizes))
+    idx = np.array([e for e, _ in entries], dtype=np.int64).reshape(-1, len(dims))
+    return _problem(sizes, dims, idx, [v for _, v in entries])
+
+
+@st.composite
+def wide_block_problems(draw):
+    """Order 2-4 tensors over every partition shape, block dims 20 to 100
+    (and N at most 300), with 200-600 entries, of values 0.0, 0.5, 1.0 or
+    3.0, drawn by a seeded generator."""
+    sizes = _block_sizes(draw)
+    hi = min(100, 300 // len(sizes))
+    dims = [n for k in sizes for n in [draw(st.integers(20, hi))] * k]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nnz = draw(st.integers(200, 600))
+    idx = np.stack([rng.integers(0, n, nnz) for n in dims], axis=1)
+    return _problem(sizes, dims, idx, rng.choice([0.0, 0.5, 1.0, 3.0], nnz))
 
 
 # ---------------------------------------------------------------------------

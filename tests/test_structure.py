@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import specrad as sr
 from specrad.structure import CRITICAL_TOL
 
-from conftest import NINE_CONFIGS, block_problems, config_id
+from conftest import NINE_CONFIGS, block_problems, config_id, ring_cube, wide_block_problems
 
 
 @pytest.fixture(params=NINE_CONFIGS, ids=config_id)
@@ -252,30 +252,124 @@ class TestClassifyRegime:
         assert d["nu_over_p_exact"] == "1"
 
 
-def reaches_everywhere(adj):
+def reachable(adj):
     """Transitive-closure oracle: boolean squaring of ``adj | I`` until it
-    stops changing gives the reachability relation; the digraph is
-    strongly connected when every vertex reaches every other."""
+    stops changing gives the reachability relation (products in floats, so
+    BLAS does them)."""
     R = adj | np.eye(adj.shape[0], dtype=bool)
     while True:
-        R2 = R @ R
+        R2 = (R.astype(float) @ R) > 0
         if np.array_equal(R2, R):
-            return bool(R.all())
+            return R
         R = R2
+
+
+def reaches_everywhere(adj):
+    """The digraph is strongly connected: every vertex reaches every other."""
+    return bool(reachable(adj).all())
+
+
+def widest_level(adj):
+    """Most arcs leaving one level of a breadth-first search from vertex 0."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[0] = True
+    front, widest = seen.copy(), 0
+    while front.any():
+        widest = max(widest, int(adj[front].sum()))
+        front = adj[front].any(axis=0) & ~seen
+        seen |= front
+    return widest
+
+
+def dense_report(prob):
+    """``(strict_nonneg, weakly_irreducible, M_nnz)`` from the dense structure
+    matrix."""
+    M = sr.structure_matrix(prob)
+    strict = bool(np.all((M > 0).any(axis=1)))
+    weak = bool(M[0, 0] > 0) if M.shape[0] == 1 else reaches_everywhere(M > 0)
+    return strict, weak, int(np.count_nonzero(M))
 
 
 class TestSparseCouplingDigraph:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(prob=block_problems())
     def test_matches_dense_structure_matrix(self, prob):
-        M = sr.structure_matrix(prob)
-        strict = bool(np.all((M > 0).any(axis=1)))
-        weak = bool(M[0, 0] > 0) if M.shape[0] == 1 else reaches_everywhere(M > 0)
+        strict, weak, m_nnz = dense_report(prob)
         rep = sr.classify_regime(prob)
-        assert (rep.strict_nonneg, rep.weakly_irreducible, rep.M_nnz) == (
-            strict, weak, int(np.count_nonzero(M)))
+        assert (rep.strict_nonneg, rep.weakly_irreducible, rep.M_nnz) == (strict, weak, m_nnz)
         assert sr.is_strictly_nonneg(prob) == strict
         assert sr.is_weakly_irreducible(prob) == weak
+
+    def test_levels_wider_than_four_n_arcs(self):
+        # the search expands a level of more than 4·N arcs in pieces
+        wide = []
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(prob=wide_block_problems())
+        def check(prob):
+            strict, weak, m_nnz = dense_report(prob)
+            rep = sr.classify_regime(prob)
+            assert (rep.strict_nonneg, rep.weakly_irreducible, rep.M_nnz) == (strict, weak, m_nnz)
+            M = sr.structure_matrix(prob) > 0
+            wide.append(strict and widest_level(M) > 4 * len(M))
+
+        check()
+        assert sum(wide) >= 50, sum(wide)
+
+    def test_search_goes_on_from_every_piece_of_a_level(self):
+        # a complete 40 x 40 bipartite core, then a path leaving it from row
+        # 39 only; the level that finds the path's first vertex has 1600 arcs
+        # (N = 200), so that vertex is found in the level's last piece
+        m, n = 40, 100
+        core = [(i, j) for i in range(m) for j in range(m)]
+        path = [(m - 1, m)] + [(r, c) for r in range(m, n) for c in (r, r + 1) if c < n]
+        idx = np.array(core + path)
+        prob = sr.make_problem(sr.CooTensor((n, n), idx, np.ones(len(idx))), [[0], [1]], ["3", "3"])
+        M = sr.structure_matrix(prob) > 0
+        assert widest_level(M) > 4 * len(M)
+        rep = sr.classify_regime(prob)
+        assert (rep.strict_nonneg, rep.weakly_irreducible, rep.M_nnz) == dense_report(prob)
+        assert rep.weakly_irreducible
+
+    def test_symmetric_shortcut_needs_single_mode_blocks(self):
+        # a star: entries (0, t) and (t, t).  With both modes in one block
+        # the arcs run 0 -> t and t -> t only, so a search from vertex 0
+        # reaches everything while the backward search does not
+        n = 50
+        t = np.arange(n)
+        idx = np.concatenate([np.stack([0 * t, t], axis=1), np.stack([t, t], axis=1)])
+        tensor = sr.CooTensor((n, n), idx, np.ones(len(idx)))
+        one = sr.make_problem(tensor, [[0, 1]], ["3"])
+        R = reachable(sr.structure_matrix(one) > 0)
+        assert R[0].all() and not R[:, 0].all()
+        assert dense_report(one)[:2] == (True, False)
+        rep = sr.classify_regime(one)
+        assert rep.strict_nonneg and not rep.weakly_irreducible
+        # as two single-mode blocks, each entry couples both ways
+        two = sr.make_problem(tensor, [[0], [1]], ["3", "3"])
+        assert dense_report(two)[:2] == (True, True)
+        assert sr.classify_regime(two).weakly_irreducible
+
+    def test_memory_per_stored_entry(self):
+        # N = 30,000: the arc codes, deduplicated in place, and the search
+        # pieces stay under 80 bytes per stored entry (230 with full-size
+        # copies and a second search)
+        tensor = ring_cube(10_000, 0)
+        prob = sr.make_problem(tensor, [[0], [1], [2]], ["3", "3", "3"])
+        tracemalloc.start()
+        try:
+            rep = sr.classify_regime(prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.regime is sr.Regime.WEAKLY_IRR_CRITICAL
+        assert peak <= 80 * tensor.values.size
+        # every ordered pair of modes gives an arc between different blocks
+        n, idx = 10_000, tensor.indices
+        rows_cols = [(idx[:, s] + s * n) * (3 * n) + idx[:, q] + q * n
+                     for s in range(3) for q in range(3) if q != s]
+        codes = np.sort(np.concatenate(rows_cols))
+        assert rep.M_nnz == 1 + np.count_nonzero(np.diff(codes))
 
     def test_large_problem_needs_no_dense_matrix(self):
         # N = 3000: the dense structure matrix alone would take 72 MB

@@ -248,8 +248,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except FileNotFoundError as e:
-        print(f"specrad: cannot open {e.filename!r}: {e.strerror}", file=sys.stderr)
+    except OSError as e:  # a write can fail with no file named, e.g. on a full disk
+        where = f"cannot open {e.filename!r}" if e.filename else "I/O error"
+        print(f"specrad: {where}: {e.strerror}", file=sys.stderr)
         return 1
     except (SpecradError, ValueError) as e:
         print(f"specrad: {e.__class__.__name__}: {e}", file=sys.stderr)

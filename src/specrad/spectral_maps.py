@@ -28,7 +28,6 @@ from .tensor_core import (
     BlockVector,
     CooTensor,
     ShapePartition,
-    _jacobian_cells,
     _jacobian_weights,
     conform,
     gradient_map,
@@ -76,9 +75,10 @@ class SpectralProblem:
     present, the regime classifier decides the knife-edge test
     ``sum(nu_i / p_i) == 1`` by exact arithmetic instead of a tolerance.
 
-    The per-coordinate exponents and block indices the maps read at every
-    iterate, and the dense Jacobian's cells, are computed on first use and
-    kept read-only; equality and hashing see the four fields only.
+    The per-coordinate exponents and block indices, the index plan
+    ``_cols`` the kernels gather from and the dense Jacobian's cells are
+    computed on first use and kept read-only; equality and hashing see the
+    four fields only.
     """
 
     tensor: CooTensor
@@ -138,8 +138,21 @@ class SpectralProblem:
         """Block index of each coordinate, to spread per-block values."""
         return _read_only(np.repeat(np.arange(self.d), self.partition.block_dims))
 
-    #: Cells of the dense Jacobian, built with the first one (GMRES forms none).
-    _jacobian_cells = cached_property(lambda self: _read_only(_jacobian_cells(self)))
+    @cached_property
+    def _cols(self) -> tuple[np.ndarray, ...]:
+        """The index plan every COO kernel gathers from: per mode ``q``, the
+        flat coordinate ``offsets[mode_block[q]] + indices[:, q]`` of each entry."""
+        offs, idx = self.partition.offsets, self.tensor.indices
+        return tuple(_read_only(np.add(idx[:, q], offs[i], dtype=np.intp))
+                     for q, i in enumerate(self.partition.mode_block))
+
+    @cached_property
+    def _jacobian_cells(self) -> np.ndarray:
+        """Flat ``row * N + col`` of each ``_jacobian_weights`` weight, in its order;
+        built with the first dense Jacobian (GMRES forms none)."""
+        n, cols = self.partition.total_dim, self._cols
+        cells = [cols[s] * n + c for s in self.partition.starts for q, c in enumerate(cols) if q != s]
+        return _read_only(np.concatenate([np.zeros(0, dtype=np.intp), *cells]))
 
     @property
     def nu_over_p(self) -> float:
@@ -321,23 +334,24 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
     ``J v / lam + x * t`` over ``g . v``, where ``J v = (lam + (p-2) * phi)
     * v - x**(2-p) * DG v``.  ``DG v`` is applied from the factored weights
     of :func:`~specrad.tensor_core._jacobian_weights`: each mode's
-    ``v[e_q]`` is gathered once, each block sums its weighted gathers and
-    scatters them over its leading mode with one ``bincount``.  ``diag`` is
-    ``(lam + (p-2) * phi) / lam``, the scaled diagonal of that Jacobian block
-    less the part from ``DG``, which is zero unless a block has more than one
-    mode; ``g`` is the border row, the constraint gradient.
+    ``v[_cols[q]]`` is gathered once from the index plan, each block sums
+    its weighted gathers and scatters them over its leading mode with one
+    ``bincount``.  ``diag`` is ``(lam + (p-2) * phi) / lam``, the scaled
+    diagonal of that Jacobian block less the part from ``DG``, which is zero
+    unless a block has more than one mode; ``g`` is the border row, the
+    constraint gradient.
     """
     part = prob.partition
     idx = prob.tensor.indices
-    span = [slice(o, o + nb) for o, nb in zip(part.offsets, part.block_dims)]
+    cols = prob._cols
     # per block: its rows of DG v, its leading-mode indices and its weights;
     # a block with no other mode (an order-1 tensor) adds nothing to DG v
     blocks = [
-        (span[i], idx[:, s], pairs)
-        for i, (s, pairs) in enumerate(zip(part.starts, _jacobian_weights(prob, x)))
+        (slice(o, o + nb), idx[:, s], pairs)
+        for o, nb, s, pairs in zip(part.offsets, part.block_dims, part.starts, _jacobian_weights(prob, x))
         if pairs
     ]
-    gather = {q: (span[part.mode_block[q]], idx[:, q]) for *_, pairs in blocks for q, _ in pairs}
+    used = {q for *_, pairs in blocks for q, _ in pairs}
     pe = prob._p_flat
     xf = x.flat
     n = xf.size
@@ -347,7 +361,7 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
 
     def matvec(v: np.ndarray) -> np.ndarray:
         d = v[:n]
-        vq = {q: d[cols][at] for q, (cols, at) in gather.items()}
+        vq = {q: d[cols[q]] for q in used}
         DGv = np.zeros(n)
         for rows, lead, ((q, w), *rest) in blocks:
             t = w * vq[q]

@@ -151,26 +151,23 @@ def _coupling_digraph(prob: SpectralProblem) -> tuple[bool, bool, int]:
     """``(strict_nonneg, weakly_irreducible, M_nnz)`` from the sparse
     coupling digraph, without forming :func:`structure_matrix`.
 
-    Each entry with a positive value gives, for every block ``i`` with
-    leading mode ``s`` and every other mode ``q``, the arc
-    ``offs[i] + e[s] -> offs[mode_block[q]] + e[q]``: exactly the positive
-    entries of the structure matrix.  Arcs are coded ``row << shift | col``
-    in int32 when every code fits, else in int64, sorted and deduplicated in
-    place; a ``searchsorted`` of the codes gives the CSR pointers, and a mask
-    leaves the heads.
+    Each entry with a positive value gives, for every block's leading mode
+    ``s`` and every other mode ``q``, the arc ``_cols[s] -> _cols[q]`` of
+    the index plan: exactly the positive entries of the structure matrix.
+    Arcs are coded ``row << shift | col`` in int32 when every code fits, else
+    in int64, sorted and deduplicated in place; a ``searchsorted`` of the
+    codes gives the CSR pointers, and a mask leaves the heads.
     """
     part = prob.partition
     n = part.total_dim
-    tensor = prob.tensor
     shift = (n - 1).bit_length()
     # int8 and int16 codes would page in numpy kernels that nothing else
     # uses (about 0.4 MB resident), more than such small arrays save
     top = (n - 1) << shift | (n - 1)
     dt = np.int32 if top <= np.iinfo(np.int32).max else np.int64
-    positive = tensor.values > 0.0
+    positive = prob.tensor.values > 0.0
     keep = slice(None) if positive.all() else positive
-    vert = [np.add(tensor.indices[keep, q], part.offsets[i], dtype=dt)
-            for q, i in enumerate(part.mode_block)]
+    vert = [c[keep].astype(dt, copy=False) for c in prob._cols]
     pairs = [(s, q) for s in part.starts for q in range(part.order) if q != s]
     nz = vert[0].size
     codes = np.empty(len(pairs) * nz, dtype=dt)

@@ -11,9 +11,10 @@ checks) is built on top of them.
 
 Indices are zero-based everywhere in memory.  The one-based convention used
 by tensor files and the command line is translated at the I/O boundary only
-(see :mod:`specrad.tensor_io`).  :attr:`CooTensor.indices` is column-major
-(Fortran order), so the kernels' per-mode gathers ``indices[:, q]`` read
-contiguous memory.
+(see :mod:`specrad.tensor_io`).  The problem kernels gather mode ``q`` as
+``x.flat[_cols[q]]`` from the index plan ``SpectralProblem._cols``, and
+scatter each block over its leading mode's column ``indices[:, s]``, which
+is contiguous because :attr:`CooTensor.indices` is column-major.
 """
 from __future__ import annotations
 
@@ -379,8 +380,7 @@ def lift(x: BlockVector, part: ShapePartition) -> tuple[np.ndarray, ...]:
     """Expand a block vector to one vector per mode (block ``i`` repeated
     ``nu[i]`` times, in mode order)."""
     conform(part, x)
-    mb = part.mode_block
-    return tuple(x.block(mb[q]) for q in range(part.order))
+    return tuple(x.block(i) for i in part.mode_block)
 
 
 def _check_mode_vectors(tensor: CooTensor, zs, skip: int | None = None) -> list:
@@ -439,15 +439,17 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     multilinear form at the lifted vector, taken at the leading mode of block
     ``i``.  Defined for every ``x`` (no positivity required).
 
-    Each mode's factor ``f_q = x[e_q]`` is gathered once per call.  Block
-    ``i`` with leading mode ``s`` weighs entry ``e`` by the running prefix
-    ``v * f_0 * ... * f_{s-1}`` times ``f_{s+1} * ... * f_{m-1}``, multiplied
-    left to right as :func:`grad_component` does, so every block equals
+    Each mode's factor ``f_q = x.flat[_cols[q]]`` is gathered once per call
+    from the problem's index plan.  Block ``i`` with leading mode ``s``
+    weighs entry ``e`` by the running prefix ``v * f_0 * ... * f_{s-1}``
+    times ``f_{s+1} * ... * f_{m-1}``, multiplied left to right as
+    :func:`grad_component` does, so every block equals
     ``grad_component(tensor, s, lift(x))`` bit for bit.
     """
     part = prob.partition
+    conform(part, x)
     idx = prob.tensor.indices
-    fac = [z[idx[:, q]] for q, z in enumerate(lift(x, part))]
+    fac = [x.flat[c] for c in prob._cols]
     lead, done = prob.tensor.values, 0
     blocks = []
     for s, n in zip(part.starts, part.block_dims):
@@ -470,12 +472,13 @@ def _jacobian_weights(prob, x: BlockVector):
     ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of block ``i`` and
     column ``e_q`` of the block owning mode ``q``.  ``prefix`` multiplies
     ``x[e_r]`` over the other modes ``r`` before ``q`` in mode order, and
-    ``suffix`` over those after ``q`` from the last mode back.  Cost is
-    ``O(nnz * m^2)``.
+    ``suffix`` over those after ``q`` from the last mode back.  The factors
+    ``x.flat[_cols[q]]`` are gathered from the problem's index plan.  Cost
+    is ``O(nnz * m^2)``.
     """
     part = prob.partition
-    idx = prob.tensor.indices
-    fac = [z[idx[:, q]] for q, z in enumerate(lift(x, part))]
+    conform(part, x)
+    fac = [x.flat[c] for c in prob._cols]
 
     def times(w, modes):
         # w times the product of fac over modes, multiplied in the order given
@@ -491,29 +494,13 @@ def _jacobian_weights(prob, x: BlockVector):
     return blocks
 
 
-def _jacobian_cells(prob) -> np.ndarray:
-    """Flat position ``row * N + col`` in the dense Jacobian of each weight of
-    :func:`_jacobian_weights`, in its order, so that summing the weights in
-    order gives the dense Jacobian bit for bit.  They depend on the problem
-    only, which keeps them (``SpectralProblem._jacobian_cells``)."""
-    part = prob.partition
-    idx = prob.tensor.indices
-    n, offs, mb = part.total_dim, part.offsets, part.mode_block
-    cells = [np.zeros(0, dtype=np.int64)]
-    for i, s in enumerate(part.starts):
-        for q in range(part.order):
-            if q != s:
-                cells.append((offs[i] + idx[:, s]) * n + (offs[mb[q]] + idx[:, q]))
-    return np.concatenate(cells)
-
-
 def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
     """Dense Jacobian of :func:`gradient_map` at ``x``.
 
     Row block ``i`` / column block ``l`` holds the derivative of gradient
     block ``i`` with respect to the variables of block ``l``.  The weights
     of :func:`_jacobian_weights` are summed in order into the problem's
-    :func:`_jacobian_cells` by one ``bincount``.  Cost is ``O(nnz * m^2)``
+    ``_jacobian_cells`` by one ``bincount``.  Cost is ``O(nnz * m^2)``
     plus the dense accumulation.
     """
     n = prob.partition.total_dim

@@ -1,0 +1,103 @@
+"""Digests of specrad's outputs, to show that a change keeps them bit for bit.
+
+Run from the root of a checkout::
+
+    PYTHONPATH=src python tests/identity_digest.py
+
+It prints three lines; the same lines on two trees mean the same bits.
+
+- ``bench``: the nine ``BENCH_CASES`` solved by both methods (x, lambda,
+  bracket, res, iterations and trace), hashed as in CHANGES.md's recipe.
+- ``ring``: ring cubes (``conftest.ring_cube``) solved on the dense Newton,
+  GMRES Newton and power paths, one partition with a multi-mode block
+  among them; their ``AssumptionReport``s; and ``gradient_map`` and
+  ``gradient_map_jacobian`` at a seeded positive point.
+- ``cli``: the files ``specrad random``, ``check --json`` and
+  ``solve --json --trace`` (both methods) write for the 0.84 MB tensor of
+  ``random --dims 100,100,100 --density 0.03 --seed 0``.
+
+The file name keeps it out of pytest's collection.
+"""
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from conftest import ring_cube  # noqa: E402
+
+import specrad as sr  # noqa: E402
+from specrad.bench import BENCH_CASES  # noqa: E402
+from specrad.cli import main  # noqa: E402
+
+#: (ring-cube n, seed, blocks, p, method): Newton takes the dense step up to
+#: N = 300 and the GMRES one above; N is n times the number of blocks.
+RING_SOLVES = (
+    (30, 0, ((0,), (1,), (2,)), ("4", "4", "4"), "lsnnm"),
+    (30, 0, ((0,), (1, 2)), ("3", "4"), "lsnnm"),
+    (120, 1, ((0,), (1,), (2,)), ("4", "4", "4"), "lsnnm"),
+    (160, 1, ((0,), (1, 2)), ("3", "4"), "lsnnm"),
+    (310, 3, ((0, 1, 2),), ("4",), "lsnnm"),
+    (200, 2, ((0,), (1,), (2,)), ("3", "3", "3"), "power"),
+    (200, 2, ((0,), (1, 2)), ("3", "4"), "power"),
+)
+
+
+def result_bytes(r) -> bytes:
+    return r.x.flat.tobytes() + repr(
+        (r.lambda_star, r.cw_lower, r.cw_upper, r.res, r.iterations, r.trace)
+    ).encode()
+
+
+def digest(parts) -> str:
+    return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
+
+
+def bench_parts():
+    for c in BENCH_CASES:
+        for m in ("lsnnm", "power"):
+            prob = sr.make_problem(sr.reference_tensor(), c.blocks, c.p)
+            yield result_bytes(sr.solve(prob, method=m))
+
+
+def ring_parts():
+    for n, seed, blocks, p, method in RING_SOLVES:
+        prob = sr.make_problem(ring_cube(n, seed), blocks, p)
+        yield repr(sr.classify_regime(prob)).encode()
+        x = sr.BlockVector.from_flat(
+            np.random.default_rng(seed).uniform(0.2, 2.0, prob.partition.total_dim),
+            prob.partition.block_dims,
+        )
+        yield sr.gradient_map(prob, x).flat.tobytes()
+        yield sr.gradient_map_jacobian(prob, x).tobytes()
+        yield result_bytes(sr.solve(prob, method=method))
+
+
+def cli_parts():
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        problem = ["--tensor", str(d / "t.txt"), "--partition", "1;2;3", "--p", "3,3,3"]
+        argvs = [
+            ["random", "--dims", "100,100,100", "--density", "0.03", "--seed", "0",
+             "--out", str(d / "t.txt")],
+            ["check", *problem, "--json", str(d / "check.json")],
+            *(["solve", *problem, "--method", m, "--json", str(d / f"{m}.json"),
+               "--trace", str(d / f"{m}.csv")] for m in ("lsnnm", "power")),
+        ]
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        for name in ("t.txt", "check.json", "lsnnm.json", "lsnnm.csv", "power.json", "power.csv"):
+            yield (d / name).read_bytes()
+
+
+if __name__ == "__main__":
+    warnings.simplefilter("ignore")
+    print("bench", digest(bench_parts()))
+    print("ring ", digest(ring_parts()))
+    print("cli  ", digest(cli_parts()))

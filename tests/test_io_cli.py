@@ -2,6 +2,7 @@
 import hashlib
 import io
 import json
+import os
 import sys
 import tracemalloc
 import warnings
@@ -457,6 +458,31 @@ class TestCliSolve:
         captured = capsys.readouterr()
         assert rc == 1
         assert "cannot open" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--tensor", "{dir}", "--partition", "1,2,3", "--p", "3"],
+            ["solve", "--tensor", "{ref}", "--partition", "1,2,3", "--p", "3", "--json", "{dir}"],
+            ["check", "--tensor", "{ref}", "--partition", "1,2,3", "--p", "3", "--json", "{dir}"],
+            ["random", "--dims", "2,2", "--out", "{dir}"],
+        ],
+        ids=["tensor-dir", "solve-json-dir", "check-json-dir", "random-out-dir"],
+    )
+    def test_unopenable_path_exits_1(self, tmp_path, ref_file, capsys, argv):
+        # a directory where a file is expected raises IsADirectoryError, an
+        # OSError like the FileNotFoundError of a missing file
+        rc = run_cli([a.format(dir=tmp_path, ref=ref_file) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.count("\n") == 1 and "cannot open" in captured.err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_exits_1(self, capsys):
+        # /dev/full opens, then every write fails with ENOSPC and no file name
+        rc = run_cli(["random", "--dims", "2,2", "--out", "/dev/full"])
+        assert rc == 1
+        assert capsys.readouterr().err == "specrad: I/O error: No space left on device\n"
 
     @pytest.mark.parametrize(
         "partition, p",

@@ -47,15 +47,20 @@ class TestProblemConstruction:
     def test_cached_arrays_change_no_comparison(self, nine_problem):
         prob, _ = nine_problem
         key = hash(prob)
-        sr.gradient_map_jacobian(prob, prob.ones())  # fills the Jacobian cells
+        sr.gradient_map_jacobian(prob, prob.ones())  # fills the plan and the Jacobian cells
         cached = {
             name: getattr(prob, name)
             for name in ("_p_flat", "_p_minus_one", "_power_exponent", "_inv_p", "_coord_block")
         }
-        assert set(cached) | {"_jacobian_cells"} <= set(vars(prob))
+        assert set(cached) | {"_cols", "_jacobian_cells"} <= set(vars(prob))
         fresh = sr.make_problem(prob.tensor, prob.partition.blocks, prob.p_exact)
         assert prob == fresh and hash(prob) == key == hash(fresh)
         assert all(not a.flags.writeable for a in cached.values())
+        part, idx = prob.partition, prob.tensor.indices
+        assert len(prob._cols) == part.order
+        for q, c in enumerate(prob._cols):
+            assert not c.flags.writeable and c.dtype == np.intp
+            assert np.array_equal(c, part.offsets[part.mode_block[q]] + idx[:, q])
         dims = prob.partition.block_dims
         pe = np.concatenate([np.full(n, pi) for n, pi in zip(dims, prob.p)])
         assert np.array_equal(cached["_p_flat"], pe)

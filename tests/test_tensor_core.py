@@ -438,6 +438,17 @@ class TestGradientMap:
         )
         G = sr.gradient_map(prob, x).flat
         assert np.array_equal(G, ref) and G.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kernel", [sr.gradient_map, sr.gradient_map_jacobian])
+    def test_wrong_split_rejected(self, ref_tensor, kernel):
+        # six numbers split (2, 4) against block dims (3, 3): a flat gather
+        # would read them as the right shape, so the split must be checked
+        prob = sr.make_problem(ref_tensor, [[0], [1, 2]], ["3", "3"])
+        with pytest.raises(ShapeMismatch):
+            kernel(prob, sr.BlockVector([[1.0, 2.0], [3.0, 4.0, 5.0, 6.0]]))
+        with pytest.raises(TypeError):
+            kernel(prob, [1.0] * 6)
+
     def test_single_block_components(self, ref_tensor):
         # G_1 = 2 x1 x3, G_2 = x1 x2 + x2^2, G_3 = x1 x2 for the bundled tensor
         prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])

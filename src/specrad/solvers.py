@@ -19,14 +19,14 @@ its first iterate and its step:
     eigenvalue is solved again to ``_KRYLOV_RTOL``.  A GMRES that misses the
     tolerance it was given raises ``KrylovStalled``.  The first iterate is
     the retraction of the start point; the line search hands on the ratios
-    at its accepted point and their max, and only the certificate evaluates
-    them again, at the blockwise normalization.
+    at its accepted point and their max, which the certificate rescales to
+    the blockwise normalization by one exact factor per block.
 
 ``power_iteration``
     Normalized fixed-point iteration of the power map.  Linearly convergent
     at best, but simple and derivative-free; used as an independent
     cross-check of the Newton solver.  Its iterates are normalized
-    blockwise, so the certificate is read off the one evaluation per step.
+    blockwise, so the certificate is read off the ratios as they are.
 
 Convergence is certified through Collatz-Wielandt bounds: with the iterate
 normalized blockwise, the min and max componentwise ratios bracket the
@@ -57,6 +57,7 @@ from .linalg import gmres, lu_solve
 from .spectral_maps import (
     BlockVector,
     SpectralProblem,
+    _block_norms,
     _bordered_operator,
     _eigen_system,
     _newton_matrix,
@@ -171,7 +172,7 @@ class SolveResult:
 def certified_residual(prob: SpectralProblem, x: BlockVector) -> float:
     """Relative Collatz-Wielandt bracket gap at the blockwise normalization
     of ``x``; an upper bound on the relative eigenvalue error."""
-    return _bracket(prob, x)[3]
+    return _cw_bracket(ratio_map(prob, normalize_blocks(prob, x)).flat)[2]
 
 
 def newton_step(prob: SpectralProblem, x: BlockVector, lam: float):
@@ -330,10 +331,15 @@ def _cw_bracket(phi: np.ndarray):
     return hi, lo, (hi - lo) / lo if lo > 0.0 else math.inf
 
 
-def _bracket(prob: SpectralProblem, x: BlockVector):
-    """``(xbar, hi, lo, res)`` at the blockwise normalization ``xbar`` of ``x``."""
-    xbar = normalize_blocks(prob, x)
-    return (xbar, *_cw_bracket(ratio_map(prob, xbar).flat))
+def _bracket(prob: SpectralProblem, x: BlockVector, phi: np.ndarray):
+    """``(xbar, hi, lo, res)`` at the blockwise normalization ``xbar`` of ``x``,
+    from the flat ratios ``phi`` at ``x``.  Block ``i`` of the gradient map has
+    degree ``nu_l`` in block ``l != i`` and ``nu_i - 1`` in block ``i``, so with
+    block norms ``n`` the ratios at ``xbar`` are ``phi_i * n_i**p_i / prod_l n_l**nu_l``."""
+    n = _block_norms(prob, x)
+    scale = n ** prob.p / (n ** prob.partition.nu).prod()
+    xbar = x._with_flat(x.flat / n[prob._coord_block])
+    return (xbar, *_cw_bracket(phi * scale[prob._coord_block]))
 
 
 def _certified_loop(prob, x0, opts, report, method, start, step) -> SolveResult:
@@ -404,13 +410,13 @@ def newton_noda(
     def start(x):
         x = retract(prob, x)
         phi = ratio_map(prob, x).flat
-        return x, phi, float(phi.max()), _bracket(prob, x), -math.inf
+        return x, phi, float(phi.max()), _bracket(prob, x, phi), -math.inf
 
     def step(x, phi, lam, res, H, last_delta, opts):
         eta = _forcing_term(res, lam, last_delta)
         d, delta, tangency = _newton_step(prob, x, phi, lam, H, eta)
         alpha, x, phi, lam, backtracks = _line_search(prob, x, lam, d, delta, opts)
-        return (x, phi, lam, _bracket(prob, x), delta), (delta, alpha, backtracks, tangency)
+        return (x, phi, lam, _bracket(prob, x, phi), delta), (delta, alpha, backtracks, tangency)
 
     return _certified_loop(prob, x0, opts, report, "lsnnm", start, step)
 

@@ -254,7 +254,7 @@ def random_tensor(dims, density: float, seed: int) -> CooTensor:
         raise ValueError(f"dims must be positive integers, got {dims}")
     if not 0.0 < density <= 1.0:
         raise BadDensity(f"density must lie in (0, 1], got {density}")
-    total = int(np.prod([np.int64(n) for n in dims]))
+    total = math.prod(dims)
     if total > MAX_RANDOM_CELLS:
         raise ValueError(
             f"random generation supports up to {MAX_RANDOM_CELLS} cells, "

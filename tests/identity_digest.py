@@ -4,7 +4,7 @@ Run from the root of a checkout::
 
     PYTHONPATH=src python tests/identity_digest.py
 
-It prints three lines; the same lines on two trees mean the same bits.
+It prints four lines; the same lines on two trees mean the same bits.
 
 - ``bench``: the nine ``BENCH_CASES`` solved by both methods (x, lambda,
   bracket, res, iterations and trace), hashed as in CHANGES.md's recipe.
@@ -15,6 +15,10 @@ It prints three lines; the same lines on two trees mean the same bits.
 - ``cli``: the files ``specrad random``, ``check --json`` and
   ``solve --json --trace`` (both methods) write for the 0.84 MB tensor of
   ``random --dims 100,100,100 --density 0.03 --seed 0``.
+- ``power``: every output of the power method among the above (the nine
+  bench solves, the ring-cube solves and the CLI's ``power.json`` and
+  ``power.csv``), so that a change to Newton alone can show that it left
+  power bit for bit as it was.
 
 The file name keeps it out of pytest's collection.
 """
@@ -58,24 +62,26 @@ def digest(parts) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
 
+# Each ``*_parts`` yields ``(method, bytes)``: the solver method that made
+# the bytes, or None.
 def bench_parts():
     for c in BENCH_CASES:
         for m in ("lsnnm", "power"):
             prob = sr.make_problem(sr.reference_tensor(), c.blocks, c.p)
-            yield result_bytes(sr.solve(prob, method=m))
+            yield m, result_bytes(sr.solve(prob, method=m))
 
 
 def ring_parts():
     for n, seed, blocks, p, method in RING_SOLVES:
         prob = sr.make_problem(ring_cube(n, seed), blocks, p)
-        yield repr(sr.classify_regime(prob)).encode()
+        yield None, repr(sr.classify_regime(prob)).encode()
         x = sr.BlockVector.from_flat(
             np.random.default_rng(seed).uniform(0.2, 2.0, prob.partition.total_dim),
             prob.partition.block_dims,
         )
-        yield sr.gradient_map(prob, x).flat.tobytes()
-        yield sr.gradient_map_jacobian(prob, x).tobytes()
-        yield result_bytes(sr.solve(prob, method=method))
+        yield None, sr.gradient_map(prob, x).flat.tobytes()
+        yield None, sr.gradient_map_jacobian(prob, x).tobytes()
+        yield method, result_bytes(sr.solve(prob, method=method))
 
 
 def cli_parts():
@@ -93,11 +99,14 @@ def cli_parts():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
         for name in ("t.txt", "check.json", "lsnnm.json", "lsnnm.csv", "power.json", "power.csv"):
-            yield (d / name).read_bytes()
+            yield name.split(".")[0], (d / name).read_bytes()
 
 
 if __name__ == "__main__":
     warnings.simplefilter("ignore")
-    print("bench", digest(bench_parts()))
-    print("ring ", digest(ring_parts()))
-    print("cli  ", digest(cli_parts()))
+    power = []
+    for name, make in (("bench", bench_parts), ("ring ", ring_parts), ("cli  ", cli_parts)):
+        parts = list(make())
+        power += [b for method, b in parts if method == "power"]
+        print(name, digest(b for _, b in parts))
+    print("power", digest(power))

@@ -299,6 +299,12 @@ class TestRandomTensor:
         with pytest.raises(ValueError):
             random_tensor((MAX_RANDOM_CELLS + 1, 2), density=1e-9, seed=0)
 
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (10**20 - 1, 2)])
+    def test_cell_count_does_not_wrap(self, dims):
+        # 2**64 cells wrap to 0 in int64, and 1e20 does not fit in it at all
+        with pytest.raises(ValueError, match="supports up to"):
+            random_tensor(dims, density=0.5, seed=0)
+
 
 @pytest.fixture()
 def ref_file(tmp_path, ref_tensor):
@@ -637,6 +643,12 @@ class TestCliRandom:
         captured = capsys.readouterr()
         assert rc == 1
         assert "BadDensity" in captured.err
+
+    @pytest.mark.parametrize("dims", ["4294967296,4294967296", "99999999999999999999,2"])
+    def test_too_many_cells_exits_1(self, capsys, dims):
+        rc = run_cli(["random", "--dims", dims, "--density", "0.5"])
+        assert rc == 1
+        assert "supports up to" in capsys.readouterr().err
 
 
 class TestCliBench:

@@ -19,9 +19,13 @@ from specrad.errors import (
     NonPositiveInput,
     ShapeMismatch,
     SingularNewtonSystem,
+    ZeroNormBlock,
 )
+from specrad.solvers import _bracket
 
-from conftest import bv, matrix_tensor, random_positive, rel_err, ring_cube, two_cluster_matrix
+from conftest import (
+    block_problems, bv, matrix_tensor, random_positive, rel_err, ring_cube, two_cluster_matrix,
+)
 
 
 def solve_quiet(prob, x0=None, opts=None, method="lsnnm"):
@@ -440,18 +444,40 @@ def count_products(monkeypatch) -> list:
     return calls
 
 
+#: Newton problems for the evaluation count: the nine reference cases (dense
+#: step) and two ring cubes past the dense crossover (N = 360 and 320, GMRES).
+COUNTED_NEWTON_PROBLEMS = [
+    *(pytest.param(c.blocks, c.p, None, id=bench_case_id(c)) for c in sr.BENCH_CASES),
+    pytest.param([[0], [1], [2]], ["4"] * 3, 120, id="ring120|1;2;3|p=4,4,4"),
+    pytest.param([[0], [1, 2]], ["3", "4"], 160, id="ring160|1;2,3|p=3,4"),
+]
+
+
 class TestGradientEvaluations:
-    """Each iterate evaluates its ratios once; Newton evaluates them once more
-    for the certificate, at the blockwise normalization."""
+    """Each iterate evaluates its ratios once, and its certificate rescales
+    them per block; Newton also evaluates them at each trial point that its
+    Armijo test rejects."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         return count_gradient_calls(monkeypatch)
 
-    @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
-    def test_newton_at_most_two_per_iterate(self, case, calls):
-        res = solve_quiet(sr.make_problem(sr.reference_tensor(), case.blocks, case.p))
-        assert 0 < len(calls) <= 2 * (res.iterations + 1)
+    @pytest.mark.parametrize("blocks, p, n", COUNTED_NEWTON_PROBLEMS)
+    def test_newton_one_per_iterate_and_rejected_trial(self, blocks, p, n, calls):
+        tensor = sr.reference_tensor() if n is None else ring_cube(n, 1)
+        res = solve_quiet(sr.make_problem(tensor, blocks, p))
+        backtracks = sum(rec.backtracks for rec in res.trace)
+        assert res.iterations + 1 <= len(calls) <= res.iterations + 1 + backtracks
+
+    @pytest.mark.parametrize("seed", [6, 8])
+    def test_newton_rejected_trials_cost_at_most_one_each(self, seed, calls):
+        # from these starts the critical 1;2,3 p=2,4 case backtracks 13 and 9 times
+        prob = sr.make_problem(sr.reference_tensor(), [[0], [1, 2]], ["2", "4"])
+        x0 = sr.BlockVector.from_flat(10 ** np.random.default_rng(seed).uniform(-2, 2, 6), (3, 3))
+        res = solve_quiet(prob, x0)
+        backtracks = sum(rec.backtracks for rec in res.trace)
+        assert res.converged and backtracks > 0
+        assert res.iterations + 1 <= len(calls) <= res.iterations + 1 + backtracks
 
     @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
     def test_power_one_per_iterate(self, case, calls):
@@ -609,6 +635,32 @@ class TestCertifiedResidual:
         res = solve_quiet(prob)
         assert sr.certified_residual(prob, res.x) <= 1e-12
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(prob=block_problems(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_bracket_rescales_the_ratios_at_x(self, prob, data, seed):
+        # the gradient map's multihomogeneity: the ratios at the blockwise
+        # normalization are those at x times one factor per block
+        p = data.draw(st.lists(st.floats(1.2, 6.0), min_size=prob.d, max_size=prob.d))
+        prob = sr.make_problem(prob.tensor, prob.partition.blocks, p)
+        rng = np.random.default_rng(seed)
+        factors = 10.0 ** rng.uniform(-3.0, 3.0, prob.d)
+        x = sr.BlockVector([f * rng.uniform(0.1, 2.0, n)
+                            for f, n in zip(factors, prob.partition.block_dims)])
+        xbar, hi, lo, res = _bracket(prob, x, sr.ratio_map(prob, x).flat)
+        expected = sr.normalize_blocks(prob, x)
+        assert np.array_equal(xbar.flat, expected.flat)
+        direct = sr.ratio_map(prob, expected).flat
+        # a zero ratio (zero-valued or no entries) has no slack at all
+        assert abs(hi - direct.max()) <= 1e-13 * direct.max()
+        assert abs(lo - direct.min()) <= 1e-13 * direct.min()
+
+    def test_underflowing_block_norm_raises(self, ref_tensor):
+        # 1e-100**4 underflows, so the block's norm is 0
+        prob = sr.make_problem(ref_tensor, SINGLETONS, ["4"] * 3)
+        x = sr.BlockVector([np.full(3, 1e-100), np.ones(3), np.ones(3)])
+        with pytest.raises(ZeroNormBlock):
+            sr.certified_residual(prob, x)
+
 
 SINGLETONS = [[0], [1], [2]]
 
@@ -701,7 +753,8 @@ class TestKrylovNewton:
         with pytest.MonkeyPatch.context() as mp:
             calls = count_gradient_calls(mp)
             res = solve_quiet(prob)
-        assert 0 < len(calls) <= 2 * (res.iterations + 1)
+        backtracks = sum(rec.backtracks for rec in res.trace)
+        assert res.iterations + 1 <= len(calls) <= res.iterations + 1 + backtracks
 
     @pytest.mark.parametrize("p, iterations, products", [("4", 5, 40), ("3", 6, 55)])
     def test_forcing_terms_bound_operator_products(self, p, iterations, products, monkeypatch):

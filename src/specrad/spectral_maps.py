@@ -28,7 +28,11 @@ from .tensor_core import (
     BlockVector,
     CooTensor,
     ShapePartition,
+    _block_plans,
+    _BlockPlan,
     _jacobian_weights,
+    _read_only,
+    _sum_rows,
     conform,
     gradient_map,
     gradient_map_jacobian,
@@ -75,10 +79,13 @@ class SpectralProblem:
     present, the regime classifier decides the knife-edge test
     ``sum(nu_i / p_i) == 1`` by exact arithmetic instead of a tolerance.
 
-    The per-coordinate exponents and block indices, the index plan
-    ``_cols`` the kernels gather from and the dense Jacobian's cells are
-    computed on first use and kept read-only; equality and hashing see the
-    four fields only.
+    The per-coordinate exponents and block indices, the summation plan
+    ``_plan`` every kernel reads (one
+    :class:`~specrad.tensor_core._BlockPlan` per block: its entries ordered
+    stably by the block's leading mode, their other modes' flat columns and
+    values in that order, and the runs each row sums) and the dense
+    Jacobian's cells are computed on first use and kept read-only; equality
+    and hashing see the four fields only.
     """
 
     tensor: CooTensor
@@ -139,20 +146,20 @@ class SpectralProblem:
         return _read_only(np.repeat(np.arange(self.d), self.partition.block_dims))
 
     @cached_property
-    def _cols(self) -> tuple[np.ndarray, ...]:
-        """The index plan every COO kernel gathers from: per mode ``q``, the
-        flat coordinate ``offsets[mode_block[q]] + indices[:, q]`` of each entry."""
-        offs, idx = self.partition.offsets, self.tensor.indices
-        return tuple(_read_only(np.add(idx[:, q], offs[i], dtype=np.intp))
-                     for q, i in enumerate(self.partition.mode_block))
+    def _plan(self) -> tuple[_BlockPlan, ...]:
+        """The summation plan of every COO kernel, one entry per block."""
+        return _block_plans(self.tensor, self.partition)
 
     @cached_property
     def _jacobian_cells(self) -> np.ndarray:
         """Flat ``row * N + col`` of each ``_jacobian_weights`` weight, in its order;
         built with the first dense Jacobian (GMRES forms none)."""
-        n, cols = self.partition.total_dim, self._cols
-        cells = [cols[s] * n + c for s in self.partition.starts for q, c in enumerate(cols) if q != s]
-        return _read_only(np.concatenate([np.zeros(0, dtype=np.intp), *cells]))
+        n, nnz = self.partition.total_dim, self.tensor.nnz
+        cells = [np.zeros(0, dtype=np.intp)]
+        for b, o in zip(self._plan, self.partition.offsets):
+            rows = np.repeat((o + b.rows) * n, np.diff(b.starts, append=nnz))
+            cells += [rows + c for c in b.cols]
+        return _read_only(np.concatenate(cells))
 
     @property
     def nu_over_p(self) -> float:
@@ -161,11 +168,6 @@ class SpectralProblem:
     def ones(self) -> BlockVector:
         """All-ones block vector conforming to the partition."""
         return BlockVector([np.ones(n) for n in self.partition.block_dims])
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def make_problem(tensor: CooTensor, blocks, p) -> SpectralProblem:
@@ -333,25 +335,21 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
     so the system it poses is the same at every scale of the tensor:
     ``J v / lam + x * t`` over ``g . v``, where ``J v = (lam + (p-2) * phi)
     * v - x**(2-p) * DG v``.  ``DG v`` is applied from the factored weights
-    of :func:`~specrad.tensor_core._jacobian_weights`: each mode's
-    ``v[_cols[q]]`` is gathered once from the index plan, each block sums
-    its weighted gathers and scatters them over its leading mode with one
-    ``bincount``.  ``diag`` is ``(lam + (p-2) * phi) / lam``, the scaled
-    diagonal of that Jacobian block less the part from ``DG``, which is zero
-    unless a block has more than one mode; ``g`` is the border row, the
-    constraint gradient.
+    of :func:`~specrad.tensor_core._jacobian_weights`: each block gathers
+    ``v`` at its plan's columns, sums the weighted gathers entry by entry,
+    and sums each row's run with one ``np.add.reduceat``.  ``diag`` is
+    ``(lam + (p-2) * phi) / lam``, the scaled diagonal of that Jacobian
+    block less the part from ``DG``, which is zero unless a block has more
+    than one mode; ``g`` is the border row, the constraint gradient.
     """
     part = prob.partition
-    idx = prob.tensor.indices
-    cols = prob._cols
-    # per block: its rows of DG v, its leading-mode indices and its weights;
-    # a block with no other mode (an order-1 tensor) adds nothing to DG v
+    # per block: its rows of DG v, its plan and its weights; a block with
+    # no other mode (an order-1 tensor) adds nothing to DG v
     blocks = [
-        (slice(o, o + nb), idx[:, s], pairs)
-        for o, nb, s, pairs in zip(part.offsets, part.block_dims, part.starts, _jacobian_weights(prob, x))
-        if pairs
+        (slice(o, o + nb), b, ws)
+        for o, nb, b, ws in zip(part.offsets, part.block_dims, prob._plan, _jacobian_weights(prob, x))
+        if ws
     ]
-    used = {q for *_, pairs in blocks for q, _ in pairs}
     pe = prob._p_flat
     xf = x.flat
     n = xf.size
@@ -361,13 +359,12 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
 
     def matvec(v: np.ndarray) -> np.ndarray:
         d = v[:n]
-        vq = {q: d[cols[q]] for q in used}
         DGv = np.zeros(n)
-        for rows, lead, ((q, w), *rest) in blocks:
-            t = w * vq[q]
-            for q, w in rest:
-                t += w * vq[q]
-            DGv[rows] = np.bincount(lead, weights=t, minlength=rows.stop - rows.start)
+        for rows, b, (w, *rest) in blocks:
+            t = w * d[b.cols[0]]
+            for c, w in zip(b.cols[1:], rest):
+                t += w * d[c]
+            _sum_rows(t, b.starts, b.rows, DGv[rows])
         out = np.empty(n + 1)
         out[:n] = diag * d - scale * DGv + xf * v[n]
         out[n] = g @ d

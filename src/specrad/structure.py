@@ -151,12 +151,14 @@ def _coupling_digraph(prob: SpectralProblem) -> tuple[bool, bool, int]:
     """``(strict_nonneg, weakly_irreducible, M_nnz)`` from the sparse
     coupling digraph, without forming :func:`structure_matrix`.
 
-    Each entry with a positive value gives, for every block's leading mode
-    ``s`` and every other mode ``q``, the arc ``_cols[s] -> _cols[q]`` of
-    the index plan: exactly the positive entries of the structure matrix.
-    Arcs are coded ``row << shift | col`` in int32 when every code fits, else
-    in int64, sorted and deduplicated in place; a ``searchsorted`` of the
-    codes gives the CSR pointers, and a mask leaves the heads.
+    Each entry ``e`` with a positive value gives, for every block's leading
+    mode ``s`` and every other mode ``q``, the arc from coordinate
+    ``offsets[mode_block[s]] + e_s`` to ``offsets[mode_block[q]] + e_q``:
+    exactly the positive entries of the structure matrix.  Arcs are coded
+    ``row << shift | col`` in int32 when every code fits, else in int64,
+    written straight from the index columns into one code array, sorted and
+    deduplicated in place; a ``searchsorted`` of the codes gives the CSR
+    pointers, and a mask leaves the heads.
     """
     part = prob.partition
     n = part.total_dim
@@ -165,15 +167,20 @@ def _coupling_digraph(prob: SpectralProblem) -> tuple[bool, bool, int]:
     # uses (about 0.4 MB resident), more than such small arrays save
     top = (n - 1) << shift | (n - 1)
     dt = np.int32 if top <= np.iinfo(np.int32).max else np.int64
+    idx = prob.tensor.indices
     positive = prob.tensor.values > 0.0
-    keep = slice(None) if positive.all() else positive
-    vert = [c[keep].astype(dt, copy=False) for c in prob._cols]
+    if not positive.all():
+        idx = idx[positive]
+    offs = [part.offsets[i] for i in part.mode_block]
     pairs = [(s, q) for s in part.starts for q in range(part.order) if q != s]
-    nz = vert[0].size
+    nz = idx.shape[0]
     codes = np.empty(len(pairs) * nz, dtype=dt)
     for j, (s, q) in enumerate(pairs):
-        np.bitwise_or(vert[s] << shift, vert[q], out=codes[j * nz:(j + 1) * nz])
-    del vert
+        # the low bits of row << shift are zero, so adding the column sets them
+        piece = codes[j * nz:(j + 1) * nz]
+        np.left_shift(idx[:, s], shift, out=piece)
+        piece += offs[s] << shift | offs[q]
+        piece += idx[:, q]
     codes.sort()
     first, deg, heads = _csr(_distinct(codes), n, shift)
     strict = bool(deg.all())

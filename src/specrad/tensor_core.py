@@ -11,16 +11,19 @@ checks) is built on top of them.
 
 Indices are zero-based everywhere in memory.  The one-based convention used
 by tensor files and the command line is translated at the I/O boundary only
-(see :mod:`specrad.tensor_io`).  The problem kernels gather mode ``q`` as
-``x.flat[_cols[q]]`` from the index plan ``SpectralProblem._cols``, and
-scatter each block over its leading mode's column ``indices[:, s]``, which
-is contiguous because :attr:`CooTensor.indices` is column-major.
+(see :mod:`specrad.tensor_io`).  The problem kernels read one summation plan
+per block, ``SpectralProblem._plan`` (:class:`_BlockPlan`), and never the
+index columns: the block's entries ordered stably by its leading mode ``s``,
+so that each row's terms lie in one run, which ``np.add.reduceat`` sums
+pairwise.  Its error grows with the log of the row length, not with the
+row length as a one-by-one scatter's does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -419,19 +422,100 @@ def grad_component(tensor: CooTensor, mode: int, zs) -> np.ndarray:
     Returns the length-``dims[mode]`` vector whose ``t``-th component sums
     ``a_e * prod_{k != mode} zs[k][e_k]`` over entries with ``e_mode == t``.
     The vector supplied in slot ``mode`` is ignored (it may be ``None``).
+    Each entry's product is taken left to right in mode order; the entries
+    are then ordered stably by ``e_mode`` and each row is summed by
+    ``np.add.reduceat``, pairwise, in the order of :func:`_lead_runs`.
     """
     if not 0 <= mode < tensor.order:
         raise BadModeIndex(f"mode {mode} out of range [0, {tensor.order})")
     zs = _check_mode_vectors(tensor, zs, skip=mode)
-    n = tensor.dims[mode]
-    if tensor.nnz == 0:
-        return np.zeros(n)
     w = tensor.values.copy()
     for q in range(tensor.order):
-        if q == mode:
-            continue
-        w *= zs[q][tensor.indices[:, q]]
-    return np.bincount(tensor.indices[:, mode], weights=w, minlength=n)
+        if q != mode:
+            w *= zs[q][tensor.indices[:, q]]
+    order, starts, rows = _lead_runs(tensor.indices[:, mode], tensor.dims[mode])
+    out = np.zeros(tensor.dims[mode])
+    _sum_rows(w[order], starts, rows, out)
+    return out
+
+
+class _BlockPlan(NamedTuple):
+    """How one block, with leading mode ``s``, sums its entries.
+
+    The entries are taken in their stable order by ``e_s``
+    (:func:`_lead_runs`), which is canonical order itself for ``s = 0``.  In
+    that order, ``cols`` holds the flat coordinate ``offsets[mode_block[q]]
+    + indices[:, q]`` of every other mode ``q``, in mode order, and
+    ``values`` the entry values (a view of the tensor's own when the order
+    is the identity).  Run ``k`` of equal ``e_s`` begins at ``starts[k]``
+    and is row ``rows[k]`` of the block.  The order itself is not kept: no
+    kernel reads it.
+    """
+
+    cols: tuple[np.ndarray, ...]
+    values: np.ndarray
+    starts: np.ndarray
+    rows: np.ndarray
+
+
+def _lead_runs(col: np.ndarray, n: int):
+    """``(order, starts, rows)`` of an index column with values in
+    ``[0, n)``: the stable sort order of its entries, where each run of
+    equal indices starts in that order, and the index of each run.
+
+    A sorted column keeps the identity, ``slice(None)``.  Otherwise numpy
+    radix-sorts the column as 8- or 16-bit keys when ``n <= 2**16``; beyond
+    that the order is read off one sort of the distinct keys ``col * k +
+    position`` (``k`` entries), and only keys that could pass int64 take a
+    stable ``argsort`` of the column itself, several times slower.
+    """
+    k = col.size
+    if k == 0 or (col[1:] >= col[:-1]).all():
+        order = slice(None)
+    elif n <= 1 << 16:
+        order = np.argsort(col.astype(np.min_scalar_type(n - 1)), kind="stable")
+    elif n * k < 2**63:
+        key = col * k
+        key += np.arange(k)
+        key.sort()
+        order = key - key // k * k  # key % k, cheaper than numpy's %
+    else:
+        order = np.argsort(col, kind="stable")
+    lead = col[order]
+    new = np.empty(k, dtype=bool)
+    new[:1] = True
+    np.not_equal(lead[1:], lead[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return order, starts, lead[starts]
+
+
+def _sum_rows(w: np.ndarray, starts: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the sum of each run of ``w`` (split at ``starts``) to
+    ``out[rows]``, summed pairwise by ``np.add.reduceat``; the rest of
+    ``out`` is left as it is."""
+    if rows.size == out.size:
+        np.add.reduceat(w, starts, out=out)
+    elif rows.size:
+        out[rows] = np.add.reduceat(w, starts)
+
+
+def _block_plans(tensor: CooTensor, part: ShapePartition) -> tuple[_BlockPlan, ...]:
+    """One read-only :class:`_BlockPlan` per block of ``part``; a block whose
+    order is the identity shares the flat columns and the values."""
+    idx = tensor.indices
+    flat = [_read_only(np.add(idx[:, q], part.offsets[i], dtype=np.intp))
+            for q, i in enumerate(part.mode_block)]
+    plans = []
+    for s, n in zip(part.starts, part.block_dims):
+        order, starts, rows = _lead_runs(idx[:, s], n)
+        cols = tuple(_read_only(c[order]) for q, c in enumerate(flat) if q != s)
+        plans.append(_BlockPlan(cols, _read_only(tensor.values[order]), _read_only(starts), _read_only(rows)))
+    return tuple(plans)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def gradient_map(prob, x: BlockVector) -> BlockVector:
@@ -439,58 +523,49 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     multilinear form at the lifted vector, taken at the leading mode of block
     ``i``.  Defined for every ``x`` (no positivity required).
 
-    Each mode's factor ``f_q = x.flat[_cols[q]]`` is gathered once per call
-    from the problem's index plan.  Block ``i`` with leading mode ``s``
-    weighs entry ``e`` by the running prefix ``v * f_0 * ... * f_{s-1}``
-    times ``f_{s+1} * ... * f_{m-1}``, multiplied left to right as
-    :func:`grad_component` does, so every block equals
+    Block ``i`` reads its plan ``prob._plan[i]`` (:class:`_BlockPlan`): it
+    weighs each entry by ``v * x.flat[c_q]`` over its other modes' columns,
+    multiplied in mode order, and sums each row's run with one
+    ``np.add.reduceat`` into its slice.  Products and summation order are
+    those of :func:`grad_component`, so every block equals
     ``grad_component(tensor, s, lift(x))`` bit for bit.
     """
     part = prob.partition
     conform(part, x)
-    idx = prob.tensor.indices
-    fac = [x.flat[c] for c in prob._cols]
-    lead, done = prob.tensor.values, 0
-    blocks = []
-    for s, n in zip(part.starts, part.block_dims):
-        for f in fac[done:s]:
-            lead = lead * f
-        done = s
-        w = lead
-        for f in fac[s + 1:]:
-            w = w * f
-        blocks.append(np.bincount(idx[:, s], weights=w, minlength=n))
-    # with no entries stored, bincount counts in int64
-    return x._with_flat(np.concatenate(blocks, dtype=np.float64))
+    xf = x.flat
+    G = np.zeros(part.total_dim)
+    for b, o, n in zip(prob._plan, part.offsets, part.block_dims):
+        if b.cols:
+            w = xf[b.cols[0]]
+            w *= b.values  # x * v is v * x to the bit, and saves an array
+        else:
+            w = b.values
+        for c in b.cols[1:]:
+            w *= xf[c]
+        _sum_rows(w, b.starts, b.rows, G[o:o + n])
+    return x._with_flat(G)
 
 
 def _jacobian_weights(prob, x: BlockVector):
     """The gradient-map Jacobian at ``x`` in factored form.
 
-    Returns one tuple per block ``i`` with leading mode ``s``, holding a pair
-    ``(q, w)`` for each other mode ``q`` in mode order: entry ``e`` puts
-    ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of block ``i`` and
-    column ``e_q`` of the block owning mode ``q``.  ``prefix`` multiplies
-    ``x[e_r]`` over the other modes ``r`` before ``q`` in mode order, and
-    ``suffix`` over those after ``q`` from the last mode back.  The factors
-    ``x.flat[_cols[q]]`` are gathered from the problem's index plan.  Cost
-    is ``O(nnz * m^2)``.
+    Returns one tuple per block ``i``, holding a weight array for each
+    column ``c = prob._plan[i].cols[j]`` of other mode ``q``, in plan order:
+    entry ``e`` puts ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of
+    block ``i`` and column ``c[e]``.  ``prefix`` multiplies ``x[e_r]`` over
+    the other modes ``r`` before ``q`` in mode order, and ``suffix`` over
+    those after ``q`` from the last mode back.  Cost is ``O(nnz * m^2)``.
     """
-    part = prob.partition
-    conform(part, x)
-    fac = [x.flat[c] for c in prob._cols]
+    conform(prob.partition, x)
 
-    def times(w, modes):
-        # w times the product of fac over modes, multiplied in the order given
-        return w * reduce(np.multiply, [fac[r] for r in modes]) if modes else w
+    def times(w, fac):
+        # w times the product of fac, multiplied in the order given
+        return w * reduce(np.multiply, fac) if fac else w
 
     blocks = []
-    for s in part.starts:
-        others = [q for q in range(part.order) if q != s]
-        blocks.append(tuple(
-            (q, times(times(prob.tensor.values, others[:j]), others[:j:-1]))
-            for j, q in enumerate(others)
-        ))
+    for b in prob._plan:
+        fac = [x.flat[c] for c in b.cols]
+        blocks.append(tuple(times(times(b.values, fac[:j]), fac[:j:-1]) for j in range(len(fac))))
     return blocks
 
 
@@ -500,11 +575,12 @@ def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
     Row block ``i`` / column block ``l`` holds the derivative of gradient
     block ``i`` with respect to the variables of block ``l``.  The weights
     of :func:`_jacobian_weights` are summed in order into the problem's
-    ``_jacobian_cells`` by one ``bincount``.  Cost is ``O(nnz * m^2)``
-    plus the dense accumulation.
+    ``_jacobian_cells`` by one ``bincount``; the plans' stable orders keep
+    each cell's summands in canonical entry order.  Cost is
+    ``O(nnz * m^2)`` plus the dense accumulation.
     """
     n = prob.partition.total_dim
-    w = [wq for pairs in _jacobian_weights(prob, x) for _, wq in pairs]
+    w = [wq for ws in _jacobian_weights(prob, x) for wq in ws]
     DG = np.bincount(prob._jacobian_cells, weights=np.concatenate([np.zeros(0), *w]), minlength=n * n)
     # with no weights at all, bincount counts in int64
     return DG.astype(np.float64, copy=False).reshape(n, n)

@@ -4,7 +4,10 @@ Run from the root of a checkout::
 
     PYTHONPATH=src python tests/identity_digest.py
 
-It prints four lines; the same lines on two trees mean the same bits.
+It prints five lines; the same lines on two trees mean the same bits.
+BLAS runs on one thread, as in the benchmark, because the last bits of a
+LAPACK solve depend on the thread count: the ``cli`` line read differently
+with two threads than with one.
 
 - ``bench``: the nine ``BENCH_CASES`` solved by both methods (x, lambda,
   bracket, res, iterations and trace), hashed as in CHANGES.md's recipe.
@@ -19,18 +22,28 @@ It prints four lines; the same lines on two trees mean the same bits.
   bench solves, the ring-cube solves and the CLI's ``power.json`` and
   ``power.csv``), so that a change to Newton alone can show that it left
   power bit for bit as it was.
+- ``jacobian``: the dense ``gradient_map_jacobian`` of the nine
+  ``BENCH_CASES`` problems and of the ring cubes above, each at a seeded
+  positive point, so that a change to the gradient map's summation can show
+  that the Jacobian kept its bits.
 
 The file name keeps it out of pytest's collection.
 """
-import contextlib
-import hashlib
-import io
-import sys
-import tempfile
-import warnings
-from pathlib import Path
+import os
 
-import numpy as np
+# Pin BLAS before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import ring_cube  # noqa: E402
@@ -71,17 +84,30 @@ def bench_parts():
             yield m, result_bytes(sr.solve(prob, method=m))
 
 
+def seeded_point(prob, seed: int):
+    return sr.BlockVector.from_flat(
+        np.random.default_rng(seed).uniform(0.2, 2.0, prob.partition.total_dim),
+        prob.partition.block_dims,
+    )
+
+
 def ring_parts():
     for n, seed, blocks, p, method in RING_SOLVES:
         prob = sr.make_problem(ring_cube(n, seed), blocks, p)
         yield None, repr(sr.classify_regime(prob)).encode()
-        x = sr.BlockVector.from_flat(
-            np.random.default_rng(seed).uniform(0.2, 2.0, prob.partition.total_dim),
-            prob.partition.block_dims,
-        )
+        x = seeded_point(prob, seed)
         yield None, sr.gradient_map(prob, x).flat.tobytes()
         yield None, sr.gradient_map_jacobian(prob, x).tobytes()
         yield method, result_bytes(sr.solve(prob, method=method))
+
+
+def jacobian_parts():
+    for k, c in enumerate(BENCH_CASES):
+        prob = sr.make_problem(sr.reference_tensor(), c.blocks, c.p)
+        yield None, sr.gradient_map_jacobian(prob, seeded_point(prob, k)).tobytes()
+    for n, seed, blocks, p, _ in RING_SOLVES:
+        prob = sr.make_problem(ring_cube(n, seed), blocks, p)
+        yield None, sr.gradient_map_jacobian(prob, seeded_point(prob, seed)).tobytes()
 
 
 def cli_parts():
@@ -110,3 +136,4 @@ if __name__ == "__main__":
         power += [b for method, b in parts if method == "power"]
         print(name, digest(b for _, b in parts))
     print("power", digest(power))
+    print("jacobian", digest(b for _, b in jacobian_parts()))

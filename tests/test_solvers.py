@@ -860,3 +860,20 @@ class TestSingularValueKnownAnswer:
         sigma = float(np.linalg.svd(A, compute_uv=False)[0])
         assert res.converged and res.iterations <= 10
         assert abs(res.lambda_star - sigma) <= 1e-10 * sigma
+
+
+class TestAllOnesCubeKnownAnswer:
+    """The all-ones n x n x n cube with partition ``1;2;3`` and p = 3,3,3:
+    the all-ones start is the eigenvector and lambda = n**2 exactly.  Every
+    row sums n**2 equal products, so the error of lambda is the rounding of
+    those sums: 2.4e-14 at n = 40 when rows were added one term at a time,
+    2.8e-16 with pairwise sums."""
+
+    @pytest.mark.parametrize("method", ["lsnnm", "power"])
+    def test_lambda_within_a_few_ulp(self, method):
+        n = 40
+        idx = np.indices((n,) * 3).reshape(3, -1).T
+        prob = sr.make_problem(sr.CooTensor((n,) * 3, idx, np.ones(len(idx))), SINGLETONS, ["3"] * 3)
+        res = sr.solve(prob, method=method)
+        assert res.converged
+        assert abs(res.lambda_star - n**2) / n**2 <= 1e-15

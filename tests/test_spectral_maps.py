@@ -52,15 +52,20 @@ class TestProblemConstruction:
             name: getattr(prob, name)
             for name in ("_p_flat", "_p_minus_one", "_power_exponent", "_inv_p", "_coord_block")
         }
-        assert set(cached) | {"_cols", "_jacobian_cells"} <= set(vars(prob))
+        assert set(cached) | {"_plan", "_jacobian_cells"} <= set(vars(prob))
         fresh = sr.make_problem(prob.tensor, prob.partition.blocks, prob.p_exact)
         assert prob == fresh and hash(prob) == key == hash(fresh)
         assert all(not a.flags.writeable for a in cached.values())
         part, idx = prob.partition, prob.tensor.indices
-        assert len(prob._cols) == part.order
-        for q, c in enumerate(prob._cols):
-            assert not c.flags.writeable and c.dtype == np.intp
-            assert np.array_equal(c, part.offsets[part.mode_block[q]] + idx[:, q])
+        assert len(prob._plan) == part.d
+        for s, b in zip(part.starts, prob._plan):
+            order = np.argsort(idx[:, s], kind="stable")
+            assert np.array_equal(b.values, prob.tensor.values[order])
+            others = [q for q in range(part.order) if q != s]
+            assert len(b.cols) == len(others)
+            for q, c in zip(others, b.cols):
+                assert not c.flags.writeable and c.dtype == np.intp
+                assert np.array_equal(c, part.offsets[part.mode_block[q]] + idx[order, q])
         dims = prob.partition.block_dims
         pe = np.concatenate([np.full(n, pi) for n, pi in zip(dims, prob.p)])
         assert np.array_equal(cached["_p_flat"], pe)

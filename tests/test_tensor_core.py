@@ -17,7 +17,7 @@ from specrad.errors import (
     ShapeMismatch,
     UnequalDimsInBlock,
 )
-from specrad.tensor_core import _canonical, _jacobian_weights, _lexsort_canonical
+from specrad.tensor_core import _canonical, _jacobian_weights, _lead_runs, _lexsort_canonical
 
 from conftest import (
     block_problems,
@@ -36,15 +36,17 @@ def jacobian_triplets(prob, x):
     ``offset(i) + e_s`` and column ``offset(block of q) + e_q`` receive the
     weight of entry ``e``, for each block ``i`` with leading mode ``s`` and
     each other mode ``q``, listed block by block, then mode by mode, then
-    entry by entry."""
+    entry by entry in the block's plan order: stably sorted by ``e_s``."""
     part = prob.partition
     idx = prob.tensor.indices
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     w = [np.zeros(0)]
-    for i, (s, pairs) in enumerate(zip(part.starts, _jacobian_weights(prob, x))):
-        for q, wq in pairs:
-            rows.append(part.offsets[i] + idx[:, s])
-            cols.append(part.offsets[part.mode_block[q]] + idx[:, q])
+    for i, (s, ws) in enumerate(zip(part.starts, _jacobian_weights(prob, x))):
+        order = np.argsort(idx[:, s], kind="stable")
+        others = [q for q in range(part.order) if q != s]
+        for q, wq in zip(others, ws, strict=True):
+            rows.append(part.offsets[i] + idx[order, s])
+            cols.append(part.offsets[part.mode_block[q]] + idx[order, q])
             w.append(wq)
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(w)
 
@@ -486,6 +488,72 @@ class TestGradientMap:
             expo[i] -= 1.0
             factor = float(np.prod(t**expo))
             assert_allclose(Gs.block(i), factor * G.block(i), rtol=1e-12)
+
+
+def reduceat_depth(k: int) -> int:
+    """At most how many additions a term of a ``k``-term run passes through
+    in ``np.add.reduceat``: the run's first term seeds the sum and the rest
+    go through numpy's pairwise sum, which adds under 8 terms one by one, up
+    to 128 in eight interleaved accumulators and halves longer runs, so the
+    depth grows with log k."""
+    def pairwise(n):
+        if n < 8:
+            return n
+        if n <= 128:
+            return n // 8 + 2 + n % 8
+        half = n // 2 - n // 2 % 8
+        return 1 + max(pairwise(half), pairwise(n - half))
+    return 1 + pairwise(k - 1) if k > 1 else 0
+
+
+class TestSummationPlan:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(prob=block_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_plan_orders_stably_and_sums_pairwise(self, prob, seed):
+        part, t = prob.partition, prob.tensor
+        key = hash(prob)
+        x = random_positive(prob, np.random.default_rng(seed))
+        G = sr.gradient_map(prob, x).flat  # builds the plan
+        assert "_plan" in vars(prob) and len(prob._plan) == part.d
+        assert hash(prob) == key and prob == sr.make_problem(t, part.blocks, prob.p_exact)
+        u = np.finfo(np.float64).eps / 2
+        for i, (s, n, b) in enumerate(zip(part.starts, part.block_dims, prob._plan)):
+            order = np.argsort(t.indices[:, s], kind="stable")
+            others = [q for q in range(part.order) if q != s]
+            arrays = [*b.cols, b.values, b.starts, b.rows]
+            assert all(not a.flags.writeable for a in arrays)
+            assert np.array_equal(b.values, t.values[order])
+            assert len(b.cols) == len(others)
+            for q, c in zip(others, b.cols):
+                assert c.dtype == np.intp
+                assert np.array_equal(c, part.offsets[part.mode_block[q]] + t.indices[order, q])
+            # runs: strictly increasing starts from 0, the rows present in order
+            counts = np.bincount(t.indices[:, s], minlength=n)
+            assert np.array_equal(b.rows, np.flatnonzero(counts))
+            assert np.array_equal(np.diff(b.starts, append=t.nnz), counts[b.rows])
+            assert b.starts[:1].tolist() == ([0] if t.nnz else [])
+            # within a pairwise rounding bound of a longdouble oracle
+            terms = t.values.astype(np.longdouble)
+            for q in others:
+                terms *= x.flat[part.offsets[part.mode_block[q]] + t.indices[:, q]].astype(np.longdouble)
+            exact = np.zeros(n, dtype=np.longdouble)
+            np.add.at(exact, t.indices[:, s], terms)
+            j = part.order + np.array([reduceat_depth(k) for k in counts])
+            bound = j * u / (1 - j * u) * exact
+            assert np.all(np.abs(G[part.offsets[i]:part.offsets[i] + n] - exact) <= bound)
+
+    def test_every_sort_is_the_stable_argsort(self):
+        col = np.random.default_rng(7).integers(0, 50, 1000)
+        order, starts, rows = _lead_runs(col, 50)  # radix sort of 8-bit keys
+        assert np.array_equal(order, np.argsort(col, kind="stable"))
+        # the same column declared wider: one sort of the keys col * k +
+        # position, and an argsort where those keys could pass int64
+        for n in (2**20, 2**62):
+            for a, b in zip((order, starts, rows), _lead_runs(col, n)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(rows, np.unique(col))
+        assert np.array_equal(col[order][starts], rows)
+        assert _lead_runs(np.sort(col), 50)[0] == slice(None)
 
 
 class TestGradientMapJacobian:

@@ -29,7 +29,7 @@ from .tensor_core import (
     CooTensor,
     ShapePartition,
     _block_plans,
-    _BlockPlan,
+    _Plan,
     _jacobian_weights,
     _read_only,
     _sum_rows,
@@ -80,8 +80,8 @@ class SpectralProblem:
     ``sum(nu_i / p_i) == 1`` by exact arithmetic instead of a tolerance.
 
     The per-coordinate exponents and block indices, the summation plan
-    ``_plan`` every kernel reads (one
-    :class:`~specrad.tensor_core._BlockPlan` per block: its entries ordered
+    ``_plan`` every kernel reads (:class:`~specrad.tensor_core._Plan`: each
+    mode's flat column in canonical order, and per block its entries ordered
     stably by the block's leading mode, their other modes' flat columns and
     values in that order, and the runs each row sums) and the dense
     Jacobian's cells are computed on first use and kept read-only; equality
@@ -146,20 +146,19 @@ class SpectralProblem:
         return _read_only(np.repeat(np.arange(self.d), self.partition.block_dims))
 
     @cached_property
-    def _plan(self) -> tuple[_BlockPlan, ...]:
-        """The summation plan of every COO kernel, one entry per block."""
+    def _plan(self) -> _Plan:
+        """The summation plan of every COO kernel: canonical flat columns
+        and one entry per block."""
         return _block_plans(self.tensor, self.partition)
 
     @cached_property
     def _jacobian_cells(self) -> np.ndarray:
-        """Flat ``row * N + col`` of each ``_jacobian_weights`` weight, in its order;
-        built with the first dense Jacobian (GMRES forms none)."""
-        n, nnz = self.partition.total_dim, self.tensor.nnz
-        cells = [np.zeros(0, dtype=np.intp)]
-        for b, o in zip(self._plan, self.partition.offsets):
-            rows = np.repeat((o + b.rows) * n, np.diff(b.starts, append=nnz))
-            cells += [rows + c for c in b.cols]
-        return _read_only(np.concatenate(cells))
+        """Flat ``row * N + col`` of each dense Jacobian weight: block by
+        block, other mode by mode, entry by entry in canonical order; built
+        with the first dense Jacobian (GMRES forms none)."""
+        flat, n = self._plan.flat, self.partition.total_dim
+        cells = [flat[s] * n + c for s in self.partition.starts for q, c in enumerate(flat) if q != s]
+        return _read_only(np.concatenate([np.zeros(0, dtype=np.intp), *cells]))
 
     @property
     def nu_over_p(self) -> float:
@@ -347,7 +346,7 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
     # no other mode (an order-1 tensor) adds nothing to DG v
     blocks = [
         (slice(o, o + nb), b, ws)
-        for o, nb, b, ws in zip(part.offsets, part.block_dims, prob._plan, _jacobian_weights(prob, x))
+        for o, nb, b, ws in zip(part.offsets, part.block_dims, prob._plan.blocks, _jacobian_weights(prob, x))
         if ws
     ]
     pe = prob._p_flat

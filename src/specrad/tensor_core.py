@@ -11,11 +11,11 @@ checks) is built on top of them.
 
 Indices are zero-based everywhere in memory.  The one-based convention used
 by tensor files and the command line is translated at the I/O boundary only
-(see :mod:`specrad.tensor_io`).  The problem kernels read one summation plan
-per block, ``SpectralProblem._plan`` (:class:`_BlockPlan`), and never the
-index columns: the block's entries ordered stably by its leading mode ``s``,
-so that each row's terms lie in one run, which ``np.add.reduceat`` sums
-pairwise.  Its error grows with the log of the row length, not with the
+(see :mod:`specrad.tensor_io`).  The problem kernels read the summation plan
+``SpectralProblem._plan`` (:class:`_Plan`), and never the index columns: per
+block (:class:`_BlockPlan`), the entries ordered stably by its leading mode
+``s``, so that each row's terms lie in one run, which ``np.add.reduceat``
+sums pairwise.  Its error grows with the log of the row length, not with the
 row length as a one-by-one scatter's does.
 """
 from __future__ import annotations
@@ -458,30 +458,41 @@ class _BlockPlan(NamedTuple):
     rows: np.ndarray
 
 
+class _Plan(NamedTuple):
+    """A problem's summation plan: ``flat[q]``, the flat coordinate
+    ``offsets[mode_block[q]] + indices[:, q]`` of every entry for each mode
+    ``q`` in canonical order, which the dense Jacobian reads, and one
+    :class:`_BlockPlan` per block."""
+
+    flat: tuple[np.ndarray, ...]
+    blocks: tuple[_BlockPlan, ...]
+
+
 def _lead_runs(col: np.ndarray, n: int):
     """``(order, starts, rows)`` of an index column with values in
     ``[0, n)``: the stable sort order of its entries, where each run of
     equal indices starts in that order, and the index of each run.
 
-    A sorted column keeps the identity, ``slice(None)``.  Otherwise numpy
-    radix-sorts the column as 8- or 16-bit keys when ``n <= 2**16``; beyond
-    that the order is read off one sort of the distinct keys ``col * k +
-    position`` (``k`` entries), and only keys that could pass int64 take a
-    stable ``argsort`` of the column itself, several times slower.
+    A sorted column keeps the identity, ``slice(None)``.  Otherwise one sort
+    of the distinct keys ``col << b | position``, with ``b`` bits for a
+    position, gives both the order (the low bits) and the sorted column (the
+    high bits), several times faster than a stable ``argsort`` of the
+    column.  That ``argsort`` stays for keys that could pass int64, so the
+    order is right for any ``n``; no solve reaches it, as its vectors hold
+    ``n`` numbers.
     """
     k = col.size
+    b = (k - 1).bit_length()
     if k == 0 or (col[1:] >= col[:-1]).all():
-        order = slice(None)
-    elif n <= 1 << 16:
-        order = np.argsort(col.astype(np.min_scalar_type(n - 1)), kind="stable")
-    elif n * k < 2**63:
-        key = col * k
-        key += np.arange(k)
+        order, lead = slice(None), col
+    elif n << b <= 1 << 63:
+        key = col << b
+        key |= np.arange(k)
         key.sort()
-        order = key - key // k * k  # key % k, cheaper than numpy's %
+        order, lead = key & ((1 << b) - 1), key >> b
     else:
         order = np.argsort(col, kind="stable")
-    lead = col[order]
+        lead = col[order]
     new = np.empty(k, dtype=bool)
     new[:1] = True
     np.not_equal(lead[1:], lead[:-1], out=new[1:])
@@ -499,18 +510,22 @@ def _sum_rows(w: np.ndarray, starts: np.ndarray, rows: np.ndarray, out: np.ndarr
         out[rows] = np.add.reduceat(w, starts)
 
 
-def _block_plans(tensor: CooTensor, part: ShapePartition) -> tuple[_BlockPlan, ...]:
-    """One read-only :class:`_BlockPlan` per block of ``part``; a block whose
-    order is the identity shares the flat columns and the values."""
+def _block_plans(tensor: CooTensor, part: ShapePartition) -> _Plan:
+    """The read-only :class:`_Plan` of ``part``.  Block 0 leads with mode 0,
+    whose order is the identity, so its plan shares the canonical columns
+    and the values; mode 0's own column, at offset 0, is the index column
+    itself."""
     idx = tensor.indices
-    flat = [_read_only(np.add(idx[:, q], part.offsets[i], dtype=np.intp))
-            for q, i in enumerate(part.mode_block)]
+    flat = tuple(
+        _read_only(np.add(idx[:, q], part.offsets[i], dtype=np.intp) if q else np.asarray(idx[:, 0], dtype=np.intp))
+        for q, i in enumerate(part.mode_block)
+    )
     plans = []
     for s, n in zip(part.starts, part.block_dims):
         order, starts, rows = _lead_runs(idx[:, s], n)
         cols = tuple(_read_only(c[order]) for q, c in enumerate(flat) if q != s)
         plans.append(_BlockPlan(cols, _read_only(tensor.values[order]), _read_only(starts), _read_only(rows)))
-    return tuple(plans)
+    return _Plan(flat, tuple(plans))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -523,7 +538,7 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     multilinear form at the lifted vector, taken at the leading mode of block
     ``i``.  Defined for every ``x`` (no positivity required).
 
-    Block ``i`` reads its plan ``prob._plan[i]`` (:class:`_BlockPlan`): it
+    Block ``i`` reads its plan ``prob._plan.blocks[i]`` (:class:`_BlockPlan`): it
     weighs each entry by ``v * x.flat[c_q]`` over its other modes' columns,
     multiplied in mode order, and sums each row's run with one
     ``np.add.reduceat`` into its slice.  Products and summation order are
@@ -534,7 +549,7 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     conform(part, x)
     xf = x.flat
     G = np.zeros(part.total_dim)
-    for b, o, n in zip(prob._plan, part.offsets, part.block_dims):
+    for b, o, n in zip(prob._plan.blocks, part.offsets, part.block_dims):
         if b.cols:
             w = xf[b.cols[0]]
             w *= b.values  # x * v is v * x to the bit, and saves an array
@@ -546,27 +561,28 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     return x._with_flat(G)
 
 
+def _weights(values: np.ndarray, fac: list) -> tuple[np.ndarray, ...]:
+    """``values`` times every product of all but one of ``fac``: for each
+    ``j``, the prefix ``fac[:j]`` multiplied in order, then the suffix from
+    the last factor back to ``fac[j + 1]``."""
+    def times(w, f):
+        return w * reduce(np.multiply, f) if f else w
+
+    return tuple(times(times(values, fac[:j]), fac[:j:-1]) for j in range(len(fac)))
+
+
 def _jacobian_weights(prob, x: BlockVector):
-    """The gradient-map Jacobian at ``x`` in factored form.
+    """The gradient-map Jacobian at ``x`` in factored form, in plan order.
 
     Returns one tuple per block ``i``, holding a weight array for each
-    column ``c = prob._plan[i].cols[j]`` of other mode ``q``, in plan order:
-    entry ``e`` puts ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of
-    block ``i`` and column ``c[e]``.  ``prefix`` multiplies ``x[e_r]`` over
-    the other modes ``r`` before ``q`` in mode order, and ``suffix`` over
-    those after ``q`` from the last mode back.  Cost is ``O(nnz * m^2)``.
+    column ``c = prob._plan.blocks[i].cols[j]`` of other mode ``q``: entry
+    ``e`` puts ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of block
+    ``i`` and column ``c[e]``.  ``prefix`` multiplies ``x[e_r]`` over the
+    other modes ``r`` before ``q`` in mode order, and ``suffix`` over those
+    after ``q`` from the last mode back.  Cost is ``O(nnz * m^2)``.
     """
     conform(prob.partition, x)
-
-    def times(w, fac):
-        # w times the product of fac, multiplied in the order given
-        return w * reduce(np.multiply, fac) if fac else w
-
-    blocks = []
-    for b in prob._plan:
-        fac = [x.flat[c] for c in b.cols]
-        blocks.append(tuple(times(times(b.values, fac[:j]), fac[:j:-1]) for j in range(len(fac))))
-    return blocks
+    return [_weights(b.values, [x.flat[c] for c in b.cols]) for b in prob._plan.blocks]
 
 
 def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
@@ -574,13 +590,16 @@ def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
 
     Row block ``i`` / column block ``l`` holds the derivative of gradient
     block ``i`` with respect to the variables of block ``l``.  The weights
-    of :func:`_jacobian_weights` are summed in order into the problem's
-    ``_jacobian_cells`` by one ``bincount``; the plans' stable orders keep
-    each cell's summands in canonical entry order.  Cost is
-    ``O(nnz * m^2)`` plus the dense accumulation.
+    of :func:`_jacobian_weights` are taken in canonical order, each mode's
+    factor ``x.flat[_plan.flat[q]]`` gathered once for every block, and
+    summed in order into the problem's ``_jacobian_cells`` by one
+    ``bincount``.  Cost is ``O(nnz * m^2)`` plus the dense accumulation.
     """
-    n = prob.partition.total_dim
-    w = [wq for ws in _jacobian_weights(prob, x) for wq in ws]
+    part = prob.partition
+    conform(part, x)
+    n = part.total_dim
+    fac = [x.flat[c] for c in prob._plan.flat]
+    w = [wq for s in part.starts for wq in _weights(prob.tensor.values, fac[:s] + fac[s + 1:])]
     DG = np.bincount(prob._jacobian_cells, weights=np.concatenate([np.zeros(0), *w]), minlength=n * n)
     # with no weights at all, bincount counts in int64
     return DG.astype(np.float64, copy=False).reshape(n, n)

@@ -57,8 +57,8 @@ class TestProblemConstruction:
         assert prob == fresh and hash(prob) == key == hash(fresh)
         assert all(not a.flags.writeable for a in cached.values())
         part, idx = prob.partition, prob.tensor.indices
-        assert len(prob._plan) == part.d
-        for s, b in zip(part.starts, prob._plan):
+        assert len(prob._plan.blocks) == part.d
+        for s, b in zip(part.starts, prob._plan.blocks):
             order = np.argsort(idx[:, s], kind="stable")
             assert np.array_equal(b.values, prob.tensor.values[order])
             others = [q for q in range(part.order) if q != s]

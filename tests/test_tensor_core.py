@@ -36,7 +36,9 @@ def jacobian_triplets(prob, x):
     ``offset(i) + e_s`` and column ``offset(block of q) + e_q`` receive the
     weight of entry ``e``, for each block ``i`` with leading mode ``s`` and
     each other mode ``q``, listed block by block, then mode by mode, then
-    entry by entry in the block's plan order: stably sorted by ``e_s``."""
+    entry by entry in canonical order.  The weights are those of
+    ``_jacobian_weights``, in each block's plan order (stably sorted by
+    ``e_s``), put back in canonical order."""
     part = prob.partition
     idx = prob.tensor.indices
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -45,9 +47,10 @@ def jacobian_triplets(prob, x):
         order = np.argsort(idx[:, s], kind="stable")
         others = [q for q in range(part.order) if q != s]
         for q, wq in zip(others, ws, strict=True):
-            rows.append(part.offsets[i] + idx[order, s])
-            cols.append(part.offsets[part.mode_block[q]] + idx[order, q])
-            w.append(wq)
+            rows.append(part.offsets[i] + idx[:, s])
+            cols.append(part.offsets[part.mode_block[q]] + idx[:, q])
+            w.append(np.empty_like(wq))
+            w[-1][order] = wq
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(w)
 
 
@@ -440,6 +443,21 @@ class TestGradientMap:
         )
         G = sr.gradient_map(prob, x).flat
         assert np.array_equal(G, ref) and G.tobytes() == ref.tobytes()
+        # the same order written out: products in mode order, entries sorted
+        # stably by the leading mode, each row's run summed by reduceat
+        idx, blocks = prob.tensor.indices, []
+        for s in prob.partition.starts:
+            w = prob.tensor.values.copy()
+            for q in range(prob.tensor.order):
+                if q != s:
+                    w *= zs[q][idx[:, q]]
+            order = np.argsort(idx[:, s], kind="stable")
+            lead = idx[order, s]
+            starts = np.flatnonzero(np.diff(lead, prepend=-1))
+            blocks.append(np.zeros(prob.tensor.dims[s]))
+            if starts.size:
+                blocks[-1][lead[starts]] = np.add.reduceat(w[order], starts)
+        assert G.tobytes() == np.concatenate(blocks).tobytes()
 
     @pytest.mark.parametrize("kernel", [sr.gradient_map, sr.gradient_map_jacobian])
     def test_wrong_split_rejected(self, ref_tensor, kernel):
@@ -514,10 +532,14 @@ class TestSummationPlan:
         key = hash(prob)
         x = random_positive(prob, np.random.default_rng(seed))
         G = sr.gradient_map(prob, x).flat  # builds the plan
-        assert "_plan" in vars(prob) and len(prob._plan) == part.d
+        assert "_plan" in vars(prob) and len(prob._plan.blocks) == part.d
         assert hash(prob) == key and prob == sr.make_problem(t, part.blocks, prob.p_exact)
+        assert len(prob._plan.flat) == part.order
+        for q, c in enumerate(prob._plan.flat):
+            assert c.dtype == np.intp and not c.flags.writeable
+            assert np.array_equal(c, part.offsets[part.mode_block[q]] + t.indices[:, q])
         u = np.finfo(np.float64).eps / 2
-        for i, (s, n, b) in enumerate(zip(part.starts, part.block_dims, prob._plan)):
+        for i, (s, n, b) in enumerate(zip(part.starts, part.block_dims, prob._plan.blocks)):
             order = np.argsort(t.indices[:, s], kind="stable")
             others = [q for q in range(part.order) if q != s]
             arrays = [*b.cols, b.values, b.starts, b.rows]
@@ -544,13 +566,11 @@ class TestSummationPlan:
 
     def test_every_sort_is_the_stable_argsort(self):
         col = np.random.default_rng(7).integers(0, 50, 1000)
-        order, starts, rows = _lead_runs(col, 50)  # radix sort of 8-bit keys
+        order, starts, rows = _lead_runs(col, 50)  # one sort of the keys col << b | position
         assert np.array_equal(order, np.argsort(col, kind="stable"))
-        # the same column declared wider: one sort of the keys col * k +
-        # position, and an argsort where those keys could pass int64
-        for n in (2**20, 2**62):
-            for a, b in zip((order, starts, rows), _lead_runs(col, n)):
-                assert np.array_equal(a, b)
+        # the same column declared so wide that those keys could pass int64
+        for a, b in zip((order, starts, rows), _lead_runs(col, 2**62)):
+            assert np.array_equal(a, b)
         assert np.array_equal(rows, np.unique(col))
         assert np.array_equal(col[order][starts], rows)
         assert _lead_runs(np.sort(col), 50)[0] == slice(None)

@@ -360,9 +360,13 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
         d = v[:n]
         DGv = np.zeros(n)
         for rows, b, (w, *rest) in blocks:
-            t = w * d[b.cols[0]]
+            # each gather is a fresh array, so it is weighed in place
+            t = d[b.cols[0]]
+            t *= w
             for c, w in zip(b.cols[1:], rest):
-                t += w * d[c]
+                u = d[c]
+                u *= w
+                t += u
             _sum_rows(t, b.starts, b.rows, DGv[rows])
         out = np.empty(n + 1)
         out[:n] = diag * d - scale * DGv + xf * v[n]

@@ -476,7 +476,7 @@ def _lead_runs(col: np.ndarray, n: int):
     A sorted column keeps the identity, ``slice(None)``.  Otherwise one sort
     of the distinct keys ``col << b | position``, with ``b`` bits for a
     position, gives both the order (the low bits) and the sorted column (the
-    high bits), several times faster than a stable ``argsort`` of the
+    high bits), two to five times faster than a stable ``argsort`` of the
     column.  That ``argsort`` stays for keys that could pass int64, so the
     order is right for any ``n``; no solve reaches it, as its vectors hold
     ``n`` numbers.

@@ -189,7 +189,7 @@ def _cmd_solve(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("always", RuntimeWarning)
         try:
-            result = solve(prob, opts=opts, method=args.method, report=report)
+            result = solve(prob, opts=opts, method=args.method)
         except (SingularNewtonSystem, KrylovStalled, LineSearchFailed) as e:
             print(f"specrad: solver breakdown: {e}", file=sys.stderr)
             _write_error(f"solver breakdown: {e}", report, args.json_path)

@@ -342,15 +342,14 @@ def _bracket(prob: SpectralProblem, x: BlockVector, phi: np.ndarray):
     return (xbar, *_cw_bracket(phi * scale[prob._coord_block]))
 
 
-def _certified_loop(prob, x0, opts, report, method, start, step) -> SolveResult:
+def _certified_loop(prob, x0, opts, method, start, step) -> SolveResult:
     """The loop both solvers share.  An iterate is ``(x, phi, lam, cert,
     carry)``: a point, its flat ratios, their max, its certificate ``(xbar, hi,
     lo, res)`` and what the method's next step needs.  ``start(x0)`` gives the
     first; ``step(x, phi, lam, res, H, carry, opts)`` the next, with its trace
     entries ``(delta, alpha, backtracks, tangency)``."""
     opts = opts or SolverOptions()
-    if report is None:
-        report = classify_regime(prob)
+    report = classify_regime(prob)
     if report.regime is Regime.UNSUPPORTED:
         _warn(
             "structural assumptions not satisfied "
@@ -395,8 +394,6 @@ def newton_noda(
     prob: SpectralProblem,
     x0: BlockVector | None = None,
     opts: SolverOptions | None = None,
-    *,
-    report: AssumptionReport | None = None,
 ) -> SolveResult:
     """Line-search Newton iteration for the positive eigenpair.
 
@@ -404,7 +401,6 @@ def newton_noda(
     the eigenvalue estimate as the max ratio at every iterate, takes damped
     Newton steps on the bordered system, and stops once the certified
     bracket gap falls to ``opts.tol`` or the iteration cap is reached.
-    ``report`` is ``classify_regime(prob)`` when the caller already has it.
     """
 
     def start(x):
@@ -418,19 +414,16 @@ def newton_noda(
         alpha, x, phi, lam, backtracks = _line_search(prob, x, lam, d, delta, opts)
         return (x, phi, lam, _bracket(prob, x, phi), delta), (delta, alpha, backtracks, tangency)
 
-    return _certified_loop(prob, x0, opts, report, "lsnnm", start, step)
+    return _certified_loop(prob, x0, opts, "lsnnm", start, step)
 
 
 def power_iteration(
     prob: SpectralProblem,
     x0: BlockVector | None = None,
     opts: SolverOptions | None = None,
-    *,
-    report: AssumptionReport | None = None,
 ) -> SolveResult:
     """Normalized power iteration on the power map, with the same certified
-    stopping rule as the Newton solver.  ``report`` is
-    ``classify_regime(prob)`` when the caller already has it."""
+    stopping rule as the Newton solver."""
 
     def start(x):
         x = normalize_blocks(prob, x)
@@ -443,7 +436,7 @@ def power_iteration(
         x = x._with_flat(_power_update(prob, G))
         return start(x), (0.0, 1.0, 0, 0.0)
 
-    return _certified_loop(prob, x0, opts, report, "power", start, step)
+    return _certified_loop(prob, x0, opts, "power", start, step)
 
 
 def solve(
@@ -452,13 +445,12 @@ def solve(
     opts: SolverOptions | None = None,
     *,
     method: str = "lsnnm",
-    report: AssumptionReport | None = None,
 ) -> SolveResult:
     """Run :func:`newton_noda` (``method="lsnnm"``) or :func:`power_iteration`
     (``"power"``), looked up at call time so that a rebound (e.g. profiled)
-    solver is the one run, handing on a report the caller already has."""
+    solver is the one run."""
     if method == "lsnnm":
-        return newton_noda(prob, x0, opts, report=report)
+        return newton_noda(prob, x0, opts)
     if method == "power":
-        return power_iteration(prob, x0, opts, report=report)
+        return power_iteration(prob, x0, opts)
     raise ValueError(f"unknown method {method!r}")

@@ -83,9 +83,9 @@ class SpectralProblem:
     ``_plan`` every kernel reads (:class:`~specrad.tensor_core._Plan`: each
     mode's flat column in canonical order, and per block its entries ordered
     stably by the block's leading mode, their other modes' flat columns and
-    values in that order, and the runs each row sums) and the dense
-    Jacobian's cells are computed on first use and kept read-only; equality
-    and hashing see the four fields only.
+    values in that order, and the runs each row sums), the dense Jacobian's
+    cells and ``classify_regime``'s report ``_report`` are computed on first
+    use and kept read-only; equality and hashing see the four fields only.
     """
 
     tensor: CooTensor

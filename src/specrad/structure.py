@@ -6,8 +6,8 @@ of the gradient map is strictly positive on positive vectors) in the
 subcritical regime ``sum(nu_i/p_i) < 1``, or *weakly irreducible* (the
 sparsity digraph of the structure matrix is strongly connected) up to the
 critical regime ``sum(nu_i/p_i) <= 1``.  ``classify_regime`` reports which
-assumption holds and which regime applies; solvers warn but do not refuse
-when the combination is unsupported.
+assumption holds and which regime applies, once per problem instance; solvers
+warn but do not refuse when the combination is unsupported.
 
 Both checks run on the coupling digraph, built straight from the tensor's
 positive entries without forming the dense structure matrix (see
@@ -201,13 +201,13 @@ def _coupling_digraph(prob: SpectralProblem) -> tuple[bool, bool, int]:
 def is_strictly_nonneg(prob: SpectralProblem) -> bool:
     """True when every row of the structure matrix has a positive entry,
     i.e. the gradient map is strictly positive on positive vectors."""
-    return _coupling_digraph(prob)[0]
+    return classify_regime(prob).strict_nonneg
 
 
 def is_weakly_irreducible(prob: SpectralProblem) -> bool:
     """True when the sparsity digraph of the structure matrix is strongly
     connected (single vertex: true iff it carries a self-loop)."""
-    return _coupling_digraph(prob)[1]
+    return classify_regime(prob).weakly_irreducible
 
 
 def _exact_nu_over_p(prob: SpectralProblem) -> Fraction | None:
@@ -232,7 +232,13 @@ def classify_regime(prob: SpectralProblem) -> AssumptionReport:
     The regime is decided from ``sum(nu_i/p_i)`` directly: exactly when
     rational exponents are available, otherwise within ``CRITICAL_TOL``.
     ``rho_A`` is reported alongside; see :class:`AssumptionReport`.
+
+    The first call for a problem instance keeps the report in its
+    ``__dict__``, like the summation plan; every later call and every solve
+    of that instance returns that same report.
     """
+    if "_report" in vars(prob):
+        return vars(prob)["_report"]
     strict, weak, m_nnz = _coupling_digraph(prob)
     s_float = prob.nu_over_p
     s_exact = _exact_nu_over_p(prob)
@@ -247,7 +253,7 @@ def classify_regime(prob: SpectralProblem) -> AssumptionReport:
     else:
         regime = Regime.UNSUPPORTED
 
-    return AssumptionReport(
+    report = vars(prob)["_report"] = AssumptionReport(
         strict_nonneg=strict,
         weakly_irreducible=weak,
         nu_over_p=s_float,
@@ -256,3 +262,4 @@ def classify_regime(prob: SpectralProblem) -> AssumptionReport:
         rho_A=homogeneity_data(prob).rho,
         nu_over_p_exact=None if s_exact is None else str(s_exact),
     )
+    return report

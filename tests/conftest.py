@@ -224,3 +224,18 @@ def sym_matrix_tensor():
 def nine_problem(request, ref_tensor):
     blocks, p, lam_ref = request.param
     return sr.make_problem(ref_tensor, blocks, p), lam_ref
+
+
+@pytest.fixture
+def classify_work(monkeypatch) -> dict:
+    """Counts runs of the two costly parts of ``classify_regime``: the
+    coupling digraph and the homogeneity data."""
+    counts = {"_coupling_digraph": 0, "homogeneity_data": 0}
+    for name in counts:
+
+        def counted(*args, _name=name, _original=getattr(sr.structure, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sr.structure, name, counted)
+    return counts

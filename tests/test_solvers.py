@@ -353,10 +353,14 @@ class TestNewtonNoda:
 
     @pytest.mark.parametrize("entry", ["solve", "newton_noda", "power_iteration"])
     def test_unsupported_warning_names_the_callers_line(self, ref_tensor, entry):
+        # the report is kept on the problem, but every solve warns again
         prob = sr.make_problem(ref_tensor, [[0], [1, 2]], ["2", "4"])
         with pytest.warns(RuntimeWarning, match="structural assumptions") as record:
-            getattr(sr, entry)(prob)
-        assert [w.filename for w in record if "structural" in str(w.message)] == [__file__]
+            for _ in range(2):
+                line = sys._getframe().f_lineno + 1
+                getattr(sr, entry)(prob)
+        found = [(w.filename, w.lineno) for w in record if "structural" in str(w.message)]
+        assert found == [(__file__, line)] * 2
 
     def test_singular_jacobian_regularized_by_border(self, ref_tensor):
         # at a converged critical-regime eigenpair the plain Jacobian is
@@ -487,27 +491,33 @@ class TestGradientEvaluations:
 
 
 class TestPrecomputedReport:
-    """A report the caller already has is used as given, and the result is
-    the one the solver gets by classifying the problem itself."""
+    """A problem's report is computed once, by its first solve; every later
+    solve and ``classify_regime`` call reuses it, and the result is the same
+    bit for bit.  No caller can hand a solver a report of its own."""
 
     @pytest.mark.parametrize("method", ["lsnnm", "power"])
     @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
-    def test_same_result_with_and_without(self, case, method):
+    def test_same_result_with_and_without(self, case, method, classify_work):
+        # the first solve finds no report on the problem, the second finds one
         prob = sr.make_problem(sr.reference_tensor(), case.blocks, case.p)
-        report = sr.classify_regime(prob)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            given = sr.solve(prob, method=method, report=report)
-            own = sr.solve(prob, method=method)
-        assert given.regime is report
-        assert given.trace == own.trace
-        assert np.array_equal(given.x.flat, own.x.flat)
-        assert given.lambda_star == own.lambda_star and given.res == own.res
+            first = sr.solve(prob, method=method)
+            again = sr.solve(prob, method=method)
+        assert first.regime is again.regime is sr.classify_regime(prob)
+        assert classify_work == {"_coupling_digraph": 1, "homogeneity_data": 1}
+        assert again.trace == first.trace
+        assert again.x.flat.tobytes() == first.x.flat.tobytes()
+        assert again.lambda_star == first.lambda_star and again.res == first.res
 
-    def test_report_is_keyword_only(self, ref_tensor):
+    def test_report_keyword_is_gone(self, ref_tensor):
         prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])
-        with pytest.raises(TypeError):
-            sr.newton_noda(prob, None, None, sr.classify_regime(prob))
+        report = sr.classify_regime(prob)
+        for entry in (sr.newton_noda, sr.power_iteration, sr.solve):
+            with pytest.raises(TypeError, match="report"):
+                entry(prob, report=report)
+            with pytest.raises(TypeError):
+                entry(prob, None, None, report)
 
 
 class TestPowerIteration:

@@ -48,11 +48,13 @@ class TestProblemConstruction:
         prob, _ = nine_problem
         key = hash(prob)
         sr.gradient_map_jacobian(prob, prob.ones())  # fills the plan and the Jacobian cells
+        report = sr.classify_regime(prob)
         cached = {
             name: getattr(prob, name)
             for name in ("_p_flat", "_p_minus_one", "_power_exponent", "_inv_p", "_coord_block")
         }
-        assert set(cached) | {"_plan", "_jacobian_cells"} <= set(vars(prob))
+        assert set(cached) | {"_plan", "_jacobian_cells", "_report"} <= set(vars(prob))
+        assert vars(prob)["_report"] is report
         fresh = sr.make_problem(prob.tensor, prob.partition.blocks, prob.p_exact)
         assert prob == fresh and hash(prob) == key == hash(fresh)
         assert all(not a.flags.writeable for a in cached.values())
@@ -73,6 +75,19 @@ class TestProblemConstruction:
         assert np.array_equal(cached["_power_exponent"], pe / (pe - 1.0) - 1.0)
         assert np.array_equal(cached["_inv_p"], [1.0 / pi for pi in prob.p])
         assert np.array_equal(cached["_coord_block"], [i for i, n in enumerate(dims) for _ in range(n)])
+
+    def test_report_is_kept_per_instance(self, ref_tensor, classify_work):
+        prob = sr.make_problem(ref_tensor, [[0], [1, 2]], ["2", "4"])
+        twin = sr.make_problem(ref_tensor, [[0], [1, 2]], ["2", "4"])
+        report = sr.classify_regime(prob)
+        assert twin == prob and hash(twin) == hash(prob) and "_report" not in vars(twin)
+        twin_report = sr.classify_regime(twin)
+        assert twin_report == report and twin_report is not report
+        assert sr.classify_regime(prob) is report and sr.classify_regime(twin) is twin_report
+        # the predicates read the kept report
+        assert sr.is_strictly_nonneg(prob) is report.strict_nonneg is True
+        assert sr.is_weakly_irreducible(twin) is report.weakly_irreducible is False
+        assert classify_work == {"_coupling_digraph": 2, "homogeneity_data": 2}
 
     def test_numpy_integer_p_is_exact(self, ref_tensor):
         singletons = [[0], [1], [2]]

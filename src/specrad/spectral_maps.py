@@ -81,11 +81,11 @@ class SpectralProblem:
 
     The per-coordinate exponents and block indices, the summation plan
     ``_plan`` every kernel reads (:class:`~specrad.tensor_core._Plan`: each
-    mode's flat column in canonical order, and per block its entries ordered
-    stably by the block's leading mode, their other modes' flat columns and
-    values in that order, and the runs each row sums), the dense Jacobian's
-    cells and ``classify_regime``'s report ``_report`` are computed on first
-    use and kept read-only; equality and hashing see the four fields only.
+    mode's flat column, and pieces of consecutive blocks, each block's
+    entries ordered stably by its leading mode, with the runs each global
+    row sums), the dense Jacobian's cells, the ``_layout`` that wraps flat
+    iterates and ``classify_regime``'s ``_report`` are computed on first use
+    and kept read-only; equality and hashing see the four fields only.
     """
 
     tensor: CooTensor
@@ -148,8 +148,13 @@ class SpectralProblem:
     @cached_property
     def _plan(self) -> _Plan:
         """The summation plan of every COO kernel: canonical flat columns
-        and one entry per block."""
+        and the summation pieces."""
         return _block_plans(self.tensor, self.partition)
+
+    @cached_property
+    def _layout(self) -> BlockVector:
+        """A vector whose ``_with_flat`` makes a flat iterate a block vector."""
+        return self.ones()
 
     @cached_property
     def _jacobian_cells(self) -> np.ndarray:
@@ -201,9 +206,10 @@ def make_problem(tensor: CooTensor, blocks, p) -> SpectralProblem:
     )
 
 
-def require_positive(x: BlockVector) -> None:
-    """Raise unless every component of ``x`` is strictly positive."""
-    if not (x.flat > 0.0).all():
+def require_positive(x: np.ndarray) -> None:
+    """Raise unless every component of the flat ``x`` is strictly positive
+    (a NaN is not)."""
+    if not x.min() > 0.0:
         raise NonPositiveInput("vector must be strictly positive componentwise")
 
 
@@ -211,17 +217,17 @@ def require_positive(x: BlockVector) -> None:
 # ratio map and friends
 # --------------------------------------------------------------------------
 
-def _ratio(prob: SpectralProblem, x: BlockVector, G: np.ndarray) -> np.ndarray:
+def _ratio(prob: SpectralProblem, x: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Flat ratios ``G / x**(p - 1)`` from the flat gradient map ``G`` at ``x > 0``."""
     require_positive(x)
-    return G / x.flat ** prob._p_minus_one
+    return G / x ** prob._p_minus_one
 
 
 def ratio_map(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Componentwise Collatz-Wielandt ratios: block ``i`` is
     ``gradient_map(x)_i / x_i**(p_i - 1)``.  Requires ``x > 0``."""
     conform(prob.partition, x)
-    return x._with_flat(_ratio(prob, x, gradient_map(prob, x).flat))
+    return x._with_flat(_ratio(prob, x.flat, gradient_map(prob, x).flat))
 
 
 def ratio_max(prob: SpectralProblem, x: BlockVector) -> float:
@@ -241,7 +247,7 @@ def ratio_jacobian(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
     diagonal term ``(p_i - 1) * G_i(x) * x_i**(-p_i)``.
     """
     conform(prob.partition, x)
-    require_positive(x)
+    require_positive(x.flat)
     pe = prob._p_flat
     G = gradient_map(prob, x).flat
     DPhi = gradient_map_jacobian(prob, x) * (x.flat ** (1.0 - pe))[:, None]
@@ -253,58 +259,64 @@ def ratio_jacobian(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
 # constraint surface
 # --------------------------------------------------------------------------
 
-def _block_norms(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
-    sums = np.add.reduceat(np.abs(x.flat) ** prob._p_flat, prob.partition.offsets)
+def _block_norms(prob: SpectralProblem, x: np.ndarray) -> np.ndarray:
+    sums = np.add.reduceat(np.abs(x) ** prob._p_flat, prob.partition.offsets)
     return sums ** prob._inv_p
 
 
-def _norm_product_grad(prob: SpectralProblem, x: BlockVector) -> np.ndarray:
+def _norm_product_grad(prob: SpectralProblem, x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    return float(norms.prod()) * norms[prob._coord_block] ** (-prob._p_flat) * x ** prob._p_minus_one
+
+
+def _normalize(prob: SpectralProblem, x: np.ndarray) -> np.ndarray:
     norms = _block_norms(prob, x)
-    pe = prob._p_flat
-    return float(norms.prod()) * norms[prob._coord_block] ** (-pe) * x.flat ** prob._p_minus_one
+    if not norms.all():
+        raise ZeroNormBlock("cannot normalize a block with zero norm")
+    return x / norms[prob._coord_block]
+
+
+def _retract(prob: SpectralProblem, x: np.ndarray) -> np.ndarray:
+    c = float(_block_norms(prob, x).prod())
+    if c == 0.0:
+        raise ZeroNormBlock("retraction undefined when a block has zero norm")
+    return x / c ** (1.0 / prob.d)
 
 
 def norm_product(prob: SpectralProblem, x: BlockVector) -> float:
     """Product of the blockwise p-norms (the normalization constraint)."""
     conform(prob.partition, x)
-    return float(_block_norms(prob, x).prod())
+    return float(_block_norms(prob, x.flat).prod())
 
 
 def norm_product_grad(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Gradient of :func:`norm_product` at ``x > 0``."""
     conform(prob.partition, x)
-    require_positive(x)
-    return x._with_flat(_norm_product_grad(prob, x))
+    require_positive(x.flat)
+    return x._with_flat(_norm_product_grad(prob, x.flat, _block_norms(prob, x.flat)))
 
 
 def normalize_blocks(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Scale each block to unit p-norm."""
     conform(prob.partition, x)
-    norms = _block_norms(prob, x)
-    if (norms == 0.0).any():
-        raise ZeroNormBlock("cannot normalize a block with zero norm")
-    return x._with_flat(x.flat / norms[prob._coord_block])
+    return x._with_flat(_normalize(prob, x.flat))
 
 
 def retract(prob: SpectralProblem, x: BlockVector) -> BlockVector:
     """Rescale ``x`` by a single scalar onto the surface ``norm_product == 1``."""
     conform(prob.partition, x)
-    c = float(_block_norms(prob, x).prod())
-    if c == 0.0:
-        raise ZeroNormBlock("retraction undefined when a block has zero norm")
-    return x._with_flat(x.flat / c ** (1.0 / prob.d))
+    return x._with_flat(_retract(prob, x.flat))
 
 
 # --------------------------------------------------------------------------
 # bordered Newton system
 # --------------------------------------------------------------------------
 
-# The private kernels take the flat ratios ``phi`` already evaluated at ``x``.
+# The Newton-matrix kernels take ``x`` as a block vector, for the Jacobian.
 
-def _eigen_system(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float) -> np.ndarray:
-    H = np.empty(x.flat.size + 1)
-    np.subtract(lam * x.flat, phi * x.flat, out=H[:-1])
-    H[-1] = _block_norms(prob, x).prod() - 1.0
+def _eigen_system(prob: SpectralProblem, x: np.ndarray, phi: np.ndarray, lam: float, norms: np.ndarray) -> np.ndarray:
+    H = np.empty(x.size + 1)
+    np.subtract(lam * x, phi * x, out=H[:-1])
+    H[-1] = norms.prod() - 1.0
     return H
 
 
@@ -316,17 +328,17 @@ def _residual_jacobian(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
     return J
 
 
-def _newton_matrix(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float) -> np.ndarray:
+def _newton_matrix(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float, norms: np.ndarray) -> np.ndarray:
     J = _residual_jacobian(prob, x, phi, lam)
     n = J.shape[0]
     DH = np.zeros((n + 1, n + 1))  # after J, so the Jacobian's scratch is freed
     DH[:n, :n] = J
     DH[:n, n] = x.flat
-    DH[n, :n] = _norm_product_grad(prob, x)
+    DH[n, :n] = _norm_product_grad(prob, x.flat, norms)
     return DH
 
 
-def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float):
+def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float, norms: np.ndarray):
     """The bordered Newton matrix as a product, never formed.
 
     Returns ``(matvec, diag, g)``.  ``matvec`` multiplies the matrix with
@@ -334,40 +346,35 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
     so the system it poses is the same at every scale of the tensor:
     ``J v / lam + x * t`` over ``g . v``, where ``J v = (lam + (p-2) * phi)
     * v - x**(2-p) * DG v``.  ``DG v`` is applied from the factored weights
-    of :func:`~specrad.tensor_core._jacobian_weights`: each block gathers
-    ``v`` at its plan's columns, sums the weighted gathers entry by entry,
-    and sums each row's run with one ``np.add.reduceat``.  ``diag`` is
-    ``(lam + (p-2) * phi) / lam``, the scaled diagonal of that Jacobian
-    block less the part from ``DG``, which is zero unless a block has more
-    than one mode; ``g`` is the border row, the constraint gradient.
+    of :func:`~specrad.tensor_core._jacobian_weights`: each summation piece
+    gathers ``v`` at its columns, sums the weighted gathers entry by entry,
+    and sums each row's run by one ``np.add.reduceat``.  ``diag`` is ``(lam
+    + (p-2) * phi) / lam``, the scaled diagonal of that Jacobian block less
+    the part from ``DG``, zero unless a block has more than one mode; ``g``
+    is the border row, the constraint gradient, from the block ``norms``.
     """
-    part = prob.partition
-    # per block: its rows of DG v, its plan and its weights; a block with
-    # no other mode (an order-1 tensor) adds nothing to DG v
-    blocks = [
-        (slice(o, o + nb), b, ws)
-        for o, nb, b, ws in zip(part.offsets, part.block_dims, prob._plan.blocks, _jacobian_weights(prob, x))
-        if ws
-    ]
+    # per piece: its plan and its weights; a piece with no other mode (an
+    # order-1 tensor) adds nothing to DG v
+    pieces = [(pc, ws) for pc, ws in zip(prob._plan.pieces, _jacobian_weights(prob, x)) if ws]
     pe = prob._p_flat
     xf = x.flat
     n = xf.size
     diag = (lam + (pe - 2.0) * phi) / lam
     scale = xf ** (2.0 - pe) / lam
-    g = _norm_product_grad(prob, x)
+    g = _norm_product_grad(prob, xf, norms)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         d = v[:n]
         DGv = np.zeros(n)
-        for rows, b, (w, *rest) in blocks:
+        for pc, (w, *rest) in pieces:
             # each gather is a fresh array, so it is weighed in place
-            t = d[b.cols[0]]
+            t = d[pc.cols[0]]
             t *= w
-            for c, w in zip(b.cols[1:], rest):
+            for c, w in zip(pc.cols[1:], rest):
                 u = d[c]
                 u *= w
                 t += u
-            _sum_rows(t, b.starts, b.rows, DGv[rows])
+            _sum_rows(t, pc, DGv)
         out = np.empty(n + 1)
         out[:n] = diag * d - scale * DGv + xf * v[n]
         out[n] = g @ d
@@ -383,7 +390,7 @@ def eigen_residual(prob: SpectralProblem, x: BlockVector, lam: float) -> BlockVe
 
 def eigen_system(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarray:
     """Stacked root function: the eigen residual over the constraint defect."""
-    return _eigen_system(prob, x, ratio_map(prob, x).flat, lam)
+    return _eigen_system(prob, x.flat, ratio_map(prob, x).flat, lam, _block_norms(prob, x.flat))
 
 
 def residual_jacobian(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarray:
@@ -395,7 +402,7 @@ def residual_jacobian(prob: SpectralProblem, x: BlockVector, lam: float) -> np.n
 def newton_matrix(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarray:
     """Bordered ``(n+1) x (n+1)`` matrix: residual Jacobian, the direction
     ``x`` in the last column, and the constraint gradient in the last row."""
-    return _newton_matrix(prob, x, ratio_map(prob, x).flat, lam)
+    return _newton_matrix(prob, x, ratio_map(prob, x).flat, lam, _block_norms(prob, x.flat))
 
 
 # --------------------------------------------------------------------------
@@ -478,10 +485,10 @@ class CwReport:
 def cw_bounds(prob: SpectralProblem, x: BlockVector) -> CwReport:
     """Certified bounds bracketing the spectral radius, evaluated at the
     blockwise normalization of ``x > 0``."""
-    require_positive(x)
+    require_positive(x.flat)
     xbar = normalize_blocks(prob, x)
     G = gradient_map(prob, xbar).flat
-    phi = _ratio(prob, xbar, G)
+    phi = _ratio(prob, xbar.flat, G)
     lower = float(phi.min())
     upper = float(phi.max())
     hd = homogeneity_data(prob)

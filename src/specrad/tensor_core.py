@@ -13,10 +13,11 @@ Indices are zero-based everywhere in memory.  The one-based convention used
 by tensor files and the command line is translated at the I/O boundary only
 (see :mod:`specrad.tensor_io`).  The problem kernels read the summation plan
 ``SpectralProblem._plan`` (:class:`_Plan`), and never the index columns: per
-block (:class:`_BlockPlan`), the entries ordered stably by its leading mode
-``s``, so that each row's terms lie in one run, which ``np.add.reduceat``
-sums pairwise.  Its error grows with the log of the row length, not with the
-row length as a one-by-one scatter's does.
+block, the entries ordered stably by its leading mode ``s``, so that each
+row's terms lie in one run, which ``np.add.reduceat`` sums pairwise into its
+global coordinate; consecutive blocks share one such chain of numpy calls, a
+summation piece (:class:`_Piece`).  The error grows with the log of the row
+length, not with the row length as a one-by-one scatter's does.
 """
 from __future__ import annotations
 
@@ -328,8 +329,8 @@ class BlockVector:
         return out
 
     def _with_flat(self, flat: np.ndarray) -> "BlockVector":
-        """This vector's blocks holding ``flat``, a fresh float64 array of its
-        size that no one else refers to; taken over uncopied and frozen."""
+        """This vector's blocks holding ``flat``, a float64 array of its size
+        that no caller holds; taken over uncopied and frozen."""
         out = BlockVector.__new__(BlockVector)
         out._freeze(flat, self.lengths, self._offsets)
         return out
@@ -435,37 +436,43 @@ def grad_component(tensor: CooTensor, mode: int, zs) -> np.ndarray:
             w *= zs[q][tensor.indices[:, q]]
     order, starts, rows = _lead_runs(tensor.indices[:, mode], tensor.dims[mode])
     out = np.zeros(tensor.dims[mode])
-    _sum_rows(w[order], starts, rows, out)
+    out[rows] = np.add.reduceat(w[order], starts)
     return out
 
 
-class _BlockPlan(NamedTuple):
-    """How one block, with leading mode ``s``, sums its entries.
+#: Most entries a summation piece holds, unless one block has more: merging
+#: saves numpy calls only while blocks are small, and 32 KiB temporaries keep
+#: clear of glibc's 128 KiB heap-trim threshold (N = 600 Newton solves with
+#: a 12,796-entry piece took 371 page faults a solve, none with 6,398).
+_PIECE_ENTRIES = 4096
 
-    The entries are taken in their stable order by ``e_s``
-    (:func:`_lead_runs`), which is canonical order itself for ``s = 0``.  In
-    that order, ``cols`` holds the flat coordinate ``offsets[mode_block[q]]
-    + indices[:, q]`` of every other mode ``q``, in mode order, and
-    ``values`` the entry values (a view of the tensor's own when the order
-    is the identity).  Run ``k`` of equal ``e_s`` begins at ``starts[k]``
-    and is row ``rows[k]`` of the block.  The order itself is not kept: no
-    kernel reads it.
-    """
 
+class _Piece(NamedTuple):
+    """How the consecutive ``blocks`` sum their entries, block after block,
+    each with leading mode ``s`` in the stable order by ``e_s``
+    (:func:`_lead_runs`; canonical order for ``s = 0``, which a lone block
+    keeps as views).  ``cols[j]`` holds the flat coordinate
+    ``offsets[mode_block[q]] + indices[:, q]`` of each block's ``j``-th
+    other mode ``q``, ``values`` the values; run ``k`` of equal ``e_s``
+    begins at ``starts[k]`` and sums to coordinate ``rows[k]``.  ``span`` is
+    the slice of the blocks' coordinates if all are rows, else ``None``."""
+
+    blocks: range
     cols: tuple[np.ndarray, ...]
     values: np.ndarray
     starts: np.ndarray
     rows: np.ndarray
+    span: slice | None
 
 
 class _Plan(NamedTuple):
     """A problem's summation plan: ``flat[q]``, the flat coordinate
     ``offsets[mode_block[q]] + indices[:, q]`` of every entry for each mode
-    ``q`` in canonical order, which the dense Jacobian reads, and one
-    :class:`_BlockPlan` per block."""
+    ``q`` in canonical order, which the dense Jacobian reads, and the
+    :class:`_Piece` s, each of as many blocks as ``_PIECE_ENTRIES`` allow."""
 
     flat: tuple[np.ndarray, ...]
-    blocks: tuple[_BlockPlan, ...]
+    pieces: tuple[_Piece, ...]
 
 
 def _lead_runs(col: np.ndarray, n: int):
@@ -500,32 +507,37 @@ def _lead_runs(col: np.ndarray, n: int):
     return order, starts, lead[starts]
 
 
-def _sum_rows(w: np.ndarray, starts: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Write the sum of each run of ``w`` (split at ``starts``) to
-    ``out[rows]``, summed pairwise by ``np.add.reduceat``; the rest of
+def _sum_rows(w: np.ndarray, piece: _Piece, out: np.ndarray) -> None:
+    """Write the sum of each run of ``w`` (split at ``piece.starts``) to
+    ``out[piece.rows]``, summed pairwise by ``np.add.reduceat``; the rest of
     ``out`` is left as it is."""
-    if rows.size == out.size:
-        np.add.reduceat(w, starts, out=out)
-    elif rows.size:
-        out[rows] = np.add.reduceat(w, starts)
+    if piece.span is not None:
+        np.add.reduceat(w, piece.starts, out=out[piece.span])
+    elif piece.rows.size:
+        out[piece.rows] = np.add.reduceat(w, piece.starts)
 
 
 def _block_plans(tensor: CooTensor, part: ShapePartition) -> _Plan:
-    """The read-only :class:`_Plan` of ``part``.  Block 0 leads with mode 0,
-    whose order is the identity, so its plan shares the canonical columns
-    and the values; mode 0's own column, at offset 0, is the index column
-    itself."""
-    idx = tensor.indices
+    """The read-only :class:`_Plan` of ``part``; mode 0's own column, at
+    offset 0, is the index column itself."""
+    idx, nnz = tensor.indices, tensor.nnz
     flat = tuple(
         _read_only(np.add(idx[:, q], part.offsets[i], dtype=np.intp) if q else np.asarray(idx[:, 0], dtype=np.intp))
         for q, i in enumerate(part.mode_block)
     )
-    plans = []
-    for s, n in zip(part.starts, part.block_dims):
-        order, starts, rows = _lead_runs(idx[:, s], n)
-        cols = tuple(_read_only(c[order]) for q, c in enumerate(flat) if q != s)
-        plans.append(_BlockPlan(cols, _read_only(tensor.values[order]), _read_only(starts), _read_only(rows)))
-    return _Plan(flat, tuple(plans))
+    step = max(1, _PIECE_ENTRIES // nnz) if nnz else part.d  # blocks per piece
+    pieces = []
+    for a in range(0, part.d, step):
+        blocks = range(a, min(a + step, part.d))
+        arrays = []  # per block: its other modes' columns, values, starts and rows
+        for i in blocks:
+            order, starts, rows = _lead_runs(idx[:, part.starts[i]], part.block_dims[i])
+            others = (c[order] for q, c in enumerate(flat) if q != part.starts[i])
+            arrays.append((*others, tensor.values[order], starts + (i - a) * nnz, rows + part.offsets[i]))
+        *cols, values, starts, rows = (_read_only(k[0] if len(k) == 1 else np.concatenate(k)) for k in zip(*arrays))
+        lo, hi = part.offsets[a], part.offsets[blocks[-1]] + part.block_dims[blocks[-1]]
+        pieces.append(_Piece(blocks, tuple(cols), values, starts, rows, slice(lo, hi) if rows.size == hi - lo else None))
+    return _Plan(flat, tuple(pieces))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -538,26 +550,25 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     multilinear form at the lifted vector, taken at the leading mode of block
     ``i``.  Defined for every ``x`` (no positivity required).
 
-    Block ``i`` reads its plan ``prob._plan.blocks[i]`` (:class:`_BlockPlan`): it
-    weighs each entry by ``v * x.flat[c_q]`` over its other modes' columns,
-    multiplied in mode order, and sums each row's run with one
-    ``np.add.reduceat`` into its slice.  Products and summation order are
-    those of :func:`grad_component`, so every block equals
-    ``grad_component(tensor, s, lift(x))`` bit for bit.
+    Each summation piece (:class:`_Piece`) weighs every entry by ``v *
+    x.flat[c_q]`` over its other modes' columns, multiplied in mode order,
+    and sums each row's run with one ``np.add.reduceat``.  Products and
+    summation order are those of :func:`grad_component`, so every block
+    equals ``grad_component(tensor, s, lift(x))`` bit for bit.
     """
     part = prob.partition
     conform(part, x)
     xf = x.flat
     G = np.zeros(part.total_dim)
-    for b, o, n in zip(prob._plan.blocks, part.offsets, part.block_dims):
-        if b.cols:
-            w = xf[b.cols[0]]
-            w *= b.values  # x * v is v * x to the bit, and saves an array
+    for pc in prob._plan.pieces:
+        if pc.cols:
+            w = xf[pc.cols[0]]
+            w *= pc.values  # x * v is v * x to the bit, and saves an array
         else:
-            w = b.values
-        for c in b.cols[1:]:
+            w = pc.values
+        for c in pc.cols[1:]:
             w *= xf[c]
-        _sum_rows(w, b.starts, b.rows, G[o:o + n])
+        _sum_rows(w, pc, G)
     return x._with_flat(G)
 
 
@@ -574,15 +585,15 @@ def _weights(values: np.ndarray, fac: list) -> tuple[np.ndarray, ...]:
 def _jacobian_weights(prob, x: BlockVector):
     """The gradient-map Jacobian at ``x`` in factored form, in plan order.
 
-    Returns one tuple per block ``i``, holding a weight array for each
-    column ``c = prob._plan.blocks[i].cols[j]`` of other mode ``q``: entry
-    ``e`` puts ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of block
-    ``i`` and column ``c[e]``.  ``prefix`` multiplies ``x[e_r]`` over the
-    other modes ``r`` before ``q`` in mode order, and ``suffix`` over those
-    after ``q`` from the last mode back.  Cost is ``O(nnz * m^2)``.
+    Returns one tuple per summation piece, a weight array for each column
+    ``c = prob._plan.pieces[k].cols[j]``: entry ``e`` of block ``i``, other
+    mode ``q``, puts ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of
+    block ``i`` and column ``c[e]``.  ``prefix`` multiplies ``x[e_r]`` over
+    the other modes ``r`` before ``q`` in mode order, and ``suffix`` over
+    those after ``q`` from the last mode back.  Cost is ``O(nnz * m^2)``.
     """
     conform(prob.partition, x)
-    return [_weights(b.values, [x.flat[c] for c in b.cols]) for b in prob._plan.blocks]
+    return [_weights(pc.values, [x.flat[c] for c in pc.cols]) for pc in prob._plan.pieces]
 
 
 def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:

@@ -78,6 +78,37 @@ def random_positive(prob, rng, lo=0.2, hi=2.0) -> sr.BlockVector:
     return bv(prob, flat)
 
 
+def block_segments(prob, per_piece):
+    """Split ``per_piece``, one tuple of entry arrays per summation piece of
+    ``prob._plan`` (laid out as its columns are), into one tuple per block:
+    block ``k`` of a piece owns the piece's entries ``k * nnz`` up to
+    ``(k + 1) * nnz``."""
+    nnz = prob.tensor.nnz
+    pieces = prob._plan.pieces
+    return [
+        tuple(a[k * nnz:(k + 1) * nnz] for a in arrays)
+        for pc, arrays in zip(pieces, per_piece, strict=True)
+        for k in range(len(pc.blocks))
+    ]
+
+
+def block_plans(prob):
+    """Each block's segment of its summation piece, in block order, as
+    ``(piece, cols, values, starts, rows)``: ``starts`` counted from the
+    segment's first entry and ``rows`` from the block's first coordinate."""
+    part, nnz = prob.partition, prob.tensor.nnz
+    pieces = prob._plan.pieces
+    out = []
+    for i, (pc, (*cols, values)) in enumerate(zip(
+        [pc for pc in pieces for _ in pc.blocks],
+        block_segments(prob, [(*pc.cols, pc.values) for pc in pieces]),
+    )):
+        k = i - pc.blocks[0]
+        a, b = np.searchsorted(pc.starts, [k * nnz, (k + 1) * nnz])
+        out.append((pc, cols, values, pc.starts[a:b] - k * nnz, pc.rows[a:b] - part.offsets[i]))
+    return out
+
+
 def ring_cube(n: int, seed: int, scale: float = 1.0) -> sr.CooTensor:
     """Seeded sparse n x n x n tensor: 30 random coordinates per index plus the
     entries ``(t, t, t)`` and ``(t, t+1, t+1)`` (mod n), which make it strictly

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import specrad as sr
 import specrad.solvers
+import specrad.spectral_maps
 import specrad.tensor_core
 from specrad.errors import (
     KrylovStalled,
@@ -22,6 +23,7 @@ from specrad.errors import (
     ZeroNormBlock,
 )
 from specrad.solvers import _bracket
+from specrad.spectral_maps import _block_norms
 
 from conftest import (
     block_problems, bv, matrix_tensor, random_positive, rel_err, ring_cube, two_cluster_matrix,
@@ -490,6 +492,49 @@ class TestGradientEvaluations:
         assert len(calls) == res.iterations + 1
 
 
+def count_calls(monkeypatch, name) -> list:
+    """Count calls of the ``specrad.spectral_maps`` function ``name`` through
+    every ``specrad`` binding of it."""
+    calls = []
+    original = getattr(specrad.spectral_maps, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "specrad" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestBlockNormEvaluations:
+    """Each iterate takes the block norms of its point once.  Newton also
+    takes those of each trial point it retracts; power takes those of the
+    point before and after normalization."""
+
+    @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
+    def test_newton_once_per_iterate_and_retracted_trial(self, case, monkeypatch):
+        norms = count_calls(monkeypatch, "_block_norms")
+        retractions = count_calls(monkeypatch, "_retract")
+        res = solve_quiet(sr.make_problem(sr.reference_tensor(), case.blocks, case.p))
+        # the start's retraction and bracket, then per step its trials'
+        # retractions and the accepted point's bracket
+        trials = len(retractions) - 1
+        assert trials >= res.iterations
+        assert len(norms) == 2 + res.iterations + trials
+        if bench_case_id(case) == "1;2;3|p=3,3,3":
+            assert (res.iterations, len(norms)) == (5, 12)
+
+    @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
+    def test_power_twice_per_iterate(self, case, monkeypatch):
+        norms = count_calls(monkeypatch, "_block_norms")
+        res = solve_quiet(sr.make_problem(sr.reference_tensor(), case.blocks, case.p), method="power")
+        assert len(norms) == 2 * (res.iterations + 1)
+        if bench_case_id(case) == "1;2;3|p=3,3,3":
+            assert (res.iterations, len(norms)) == (72, 146)
+
+
 class TestPrecomputedReport:
     """A problem's report is computed once, by its first solve; every later
     solve and ``classify_regime`` call reuses it, and the result is the same
@@ -656,9 +701,10 @@ class TestCertifiedResidual:
         factors = 10.0 ** rng.uniform(-3.0, 3.0, prob.d)
         x = sr.BlockVector([f * rng.uniform(0.1, 2.0, n)
                             for f, n in zip(factors, prob.partition.block_dims)])
-        xbar, hi, lo, res = _bracket(prob, x, sr.ratio_map(prob, x).flat)
+        norms, (xbar, hi, lo, res) = _bracket(prob, x.flat, sr.ratio_map(prob, x).flat)
+        assert np.array_equal(norms, _block_norms(prob, x.flat))
         expected = sr.normalize_blocks(prob, x)
-        assert np.array_equal(xbar.flat, expected.flat)
+        assert np.array_equal(xbar, expected.flat)
         direct = sr.ratio_map(prob, expected).flat
         # a zero ratio (zero-valued or no entries) has no slack at all
         assert abs(hi - direct.max()) <= 1e-13 * direct.max()
@@ -711,10 +757,11 @@ class TestKrylovNewton:
         phi = sr.ratio_map(prob, x).flat
         lam = float(phi.max())
         H = sr.eigen_system(prob, x, lam)
-        d, delta, _ = sr.solvers._newton_step(prob, x, phi, lam, H)
+        norms = _block_norms(prob, x.flat)
+        d, delta, _ = sr.solvers._newton_step(prob, x, phi, lam, H, norms)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sr.solvers, "_DENSE_MAX_N", 10**9)
-            d_ref, delta_ref, _ = sr.solvers._newton_step(prob, x, phi, lam, H)
+            d_ref, delta_ref, _ = sr.solvers._newton_step(prob, x, phi, lam, H, norms)
         assert rel_err(d, d_ref) <= 1e-9
         assert abs(delta - delta_ref) <= 1e-9 * abs(delta_ref)
 
@@ -795,7 +842,8 @@ class TestKrylovNewton:
         phi = sr.ratio_map(prob, x).flat
         lam = float(phi.max())
         H = sr.eigen_system(prob, x, lam)
-        d_ref, delta_ref, _ = sr.solvers._newton_step(prob, x, phi, lam, H)
+        norms = _block_norms(prob, x.flat)
+        d_ref, delta_ref, _ = sr.solvers._newton_step(prob, x, phi, lam, H, norms)
         tols = []
         original = sr.solvers.gmres
 
@@ -807,7 +855,7 @@ class TestKrylovNewton:
             return sol
 
         monkeypatch.setattr(sr.solvers, "gmres", loose_solve_raises_lambda)
-        d, delta, _ = sr.solvers._newton_step(prob, x, phi, lam, H, 0.1)
+        d, delta, _ = sr.solvers._newton_step(prob, x, phi, lam, H, norms, 0.1)
         assert tols == [0.1, sr.solvers._KRYLOV_RTOL]
         assert delta == delta_ref and np.array_equal(d, d_ref)
 

@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 
 import specrad as sr
 from specrad.errors import NonPositiveInput, OverflowGuard, SpecradError, ZeroNormBlock
-from specrad.spectral_maps import _bordered_operator, _newton_matrix, _residual_jacobian
+from specrad.spectral_maps import _block_norms, _bordered_operator, _newton_matrix, _residual_jacobian
 
-from conftest import block_problems, bv, fd_grad, fd_jacobian, random_positive, rel_err
+from conftest import block_plans, block_problems, bv, fd_grad, fd_jacobian, random_positive, rel_err
 
 
 def pinv_otimes(prob, x):
@@ -59,13 +59,14 @@ class TestProblemConstruction:
         assert prob == fresh and hash(prob) == key == hash(fresh)
         assert all(not a.flags.writeable for a in cached.values())
         part, idx = prob.partition, prob.tensor.indices
-        assert len(prob._plan.blocks) == part.d
-        for s, b in zip(part.starts, prob._plan.blocks):
+        plans = block_plans(prob)
+        assert len(plans) == part.d
+        for s, (pc, cols, values, _, _) in zip(part.starts, plans):
             order = np.argsort(idx[:, s], kind="stable")
-            assert np.array_equal(b.values, prob.tensor.values[order])
+            assert np.array_equal(values, prob.tensor.values[order])
             others = [q for q in range(part.order) if q != s]
-            assert len(b.cols) == len(others)
-            for q, c in zip(others, b.cols):
+            assert len(cols) == len(others) == len(pc.cols)
+            for q, c in zip(others, cols):
                 assert not c.flags.writeable and c.dtype == np.intp
                 assert np.array_equal(c, part.offsets[part.mode_block[q]] + idx[order, q])
         dims = prob.partition.block_dims
@@ -352,8 +353,9 @@ class TestBorderedOperator:
         x = random_positive(prob, rng)
         phi = sr.ratio_map(prob, x).flat
         n = x.flat.size
-        matvec, diag, g = _bordered_operator(prob, x, phi, lam)
-        DH = _newton_matrix(prob, x, phi, lam)
+        norms = _block_norms(prob, x.flat)
+        matvec, diag, g = _bordered_operator(prob, x, phi, lam, norms)
+        DH = _newton_matrix(prob, x, phi, lam, norms)
         v = rng.standard_normal(n + 1)
         rows = np.append(np.full(n, 1.0 / lam), 1.0)
         cols = np.append(np.ones(n), lam)

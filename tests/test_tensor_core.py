@@ -17,10 +17,14 @@ from specrad.errors import (
     ShapeMismatch,
     UnequalDimsInBlock,
 )
+import specrad.tensor_core
+from specrad.spectral_maps import _block_norms, _bordered_operator
 from specrad.tensor_core import _canonical, _jacobian_weights, _lead_runs, _lexsort_canonical
 
 from conftest import (
+    block_plans,
     block_problems,
+    block_segments,
     dense_from_coo,
     fd_grad,
     fd_jacobian,
@@ -37,13 +41,15 @@ def jacobian_triplets(prob, x):
     weight of entry ``e``, for each block ``i`` with leading mode ``s`` and
     each other mode ``q``, listed block by block, then mode by mode, then
     entry by entry in canonical order.  The weights are those of
-    ``_jacobian_weights``, in each block's plan order (stably sorted by
-    ``e_s``), put back in canonical order."""
+    ``_jacobian_weights``, each block's segment of its summation piece in
+    the block's plan order (stably sorted by ``e_s``), put back in canonical
+    order."""
     part = prob.partition
     idx = prob.tensor.indices
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     w = [np.zeros(0)]
-    for i, (s, ws) in enumerate(zip(part.starts, _jacobian_weights(prob, x))):
+    weights = block_segments(prob, _jacobian_weights(prob, x))
+    for i, (s, ws) in enumerate(zip(part.starts, weights, strict=True)):
         order = np.argsort(idx[:, s], kind="stable")
         others = [q for q in range(part.order) if q != s]
         for q, wq in zip(others, ws, strict=True):
@@ -526,34 +532,50 @@ def reduceat_depth(k: int) -> int:
 
 class TestSummationPlan:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(prob=block_problems(), seed=st.integers(0, 2**32 - 1))
-    def test_plan_orders_stably_and_sums_pairwise(self, prob, seed):
+    @given(prob=block_problems(), seed=st.integers(0, 2**32 - 1),
+           cap=st.sampled_from([1, 7, specrad.tensor_core._PIECE_ENTRIES]))
+    def test_plan_orders_stably_and_sums_pairwise(self, prob, seed, cap):
         part, t = prob.partition, prob.tensor
         key = hash(prob)
         x = random_positive(prob, np.random.default_rng(seed))
-        G = sr.gradient_map(prob, x).flat  # builds the plan
-        assert "_plan" in vars(prob) and len(prob._plan.blocks) == part.d
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specrad.tensor_core, "_PIECE_ENTRIES", cap)
+            G = sr.gradient_map(prob, x).flat  # builds the plan
+        assert "_plan" in vars(prob)
         assert hash(prob) == key and prob == sr.make_problem(t, part.blocks, prob.p_exact)
         assert len(prob._plan.flat) == part.order
         for q, c in enumerate(prob._plan.flat):
             assert c.dtype == np.intp and not c.flags.writeable
             assert np.array_equal(c, part.offsets[part.mode_block[q]] + t.indices[:, q])
+        # the pieces cover the blocks in order; each holds one block or at
+        # most cap entries, and could not take the next piece's first block
+        pieces = prob._plan.pieces
+        assert [i for pc in pieces for i in pc.blocks] == list(range(part.d))
+        for pc, after in zip(pieces, [*pieces[1:], None]):
+            assert len(pc.blocks) == 1 or len(pc.blocks) * t.nnz <= cap
+            assert after is None or (len(pc.blocks) + 1) * t.nnz > cap
+            assert all(not a.flags.writeable for a in [*pc.cols, pc.values, pc.starts, pc.rows])
+            assert pc.rows.dtype == pc.starts.dtype == np.intp
+            lo, hi = part.offsets[pc.blocks[0]], part.offsets[pc.blocks[-1]] + part.block_dims[pc.blocks[-1]]
+            assert pc.span == (slice(lo, hi) if np.array_equal(pc.rows, np.arange(lo, hi)) else None)
+            if pc.blocks == range(1):  # block 0 alone keeps the tensor's own arrays
+                assert np.shares_memory(pc.values, t.values) or t.nnz == 0
         u = np.finfo(np.float64).eps / 2
-        for i, (s, n, b) in enumerate(zip(part.starts, part.block_dims, prob._plan.blocks)):
+        plans = block_plans(prob)
+        assert len(plans) == part.d
+        for i, (s, n, (pc, cols, values, starts, rows)) in enumerate(zip(part.starts, part.block_dims, plans)):
             order = np.argsort(t.indices[:, s], kind="stable")
             others = [q for q in range(part.order) if q != s]
-            arrays = [*b.cols, b.values, b.starts, b.rows]
-            assert all(not a.flags.writeable for a in arrays)
-            assert np.array_equal(b.values, t.values[order])
-            assert len(b.cols) == len(others)
-            for q, c in zip(others, b.cols):
+            assert np.array_equal(values, t.values[order])
+            assert len(cols) == len(others)
+            for q, c in zip(others, cols):
                 assert c.dtype == np.intp
                 assert np.array_equal(c, part.offsets[part.mode_block[q]] + t.indices[order, q])
             # runs: strictly increasing starts from 0, the rows present in order
             counts = np.bincount(t.indices[:, s], minlength=n)
-            assert np.array_equal(b.rows, np.flatnonzero(counts))
-            assert np.array_equal(np.diff(b.starts, append=t.nnz), counts[b.rows])
-            assert b.starts[:1].tolist() == ([0] if t.nnz else [])
+            assert np.array_equal(rows, np.flatnonzero(counts))
+            assert np.array_equal(np.diff(starts, append=t.nnz), counts[rows])
+            assert starts[:1].tolist() == ([0] if t.nnz else [])
             # within a pairwise rounding bound of a longdouble oracle
             terms = t.values.astype(np.longdouble)
             for q in others:
@@ -574,6 +596,52 @@ class TestSummationPlan:
         assert np.array_equal(rows, np.unique(col))
         assert np.array_equal(col[order][starts], rows)
         assert _lead_runs(np.sort(col), 50)[0] == slice(None)
+
+
+class TestSummationPieces:
+    """Consecutive blocks share a summation piece while their entries fit in
+    ``_PIECE_ENTRIES``; where the pieces split changes no output bit."""
+
+    CAPS = (1, 7, specrad.tensor_core._PIECE_ENTRIES)
+
+    @staticmethod
+    def outputs(prob, cap, x, lam, v):
+        """The gradient map, the matrix-free Newton product with ``v`` and
+        the Jacobian triplets at ``x``, from a fresh copy of ``prob`` whose
+        plan is built under ``cap``, and the blocks of its pieces."""
+        fresh = sr.make_problem(prob.tensor, prob.partition.blocks, prob.p_exact or prob.p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specrad.tensor_core, "_PIECE_ENTRIES", cap)
+            G = sr.gradient_map(fresh, x).flat  # builds the plan
+        phi = sr.ratio_map(fresh, x).flat
+        matvec, _, _ = _bordered_operator(fresh, x, phi, lam, _block_norms(fresh, x.flat))
+        triplets = jacobian_triplets(fresh, x)
+        bits = [G.tobytes(), matvec(v).tobytes(), *(a.tobytes() for a in triplets)]
+        return bits, [list(pc.blocks) for pc in fresh._plan.pieces]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(prob=block_problems(), seed=st.integers(0, 2**32 - 1), lam=st.floats(0.1, 10.0))
+    def test_every_cap_gives_the_same_bits(self, prob, seed, lam):
+        rng = np.random.default_rng(seed)
+        x = random_positive(prob, rng)
+        v = rng.standard_normal(prob.partition.total_dim + 1)
+        runs = [self.outputs(prob, cap, x, lam, v) for cap in self.CAPS]
+        assert runs[0][0] == runs[1][0] == runs[2][0]
+        # cap 1 leaves every block alone unless there are no entries
+        assert runs[0][1] == [[i] for i in range(prob.d)] or prob.tensor.nnz == 0
+        assert runs[2][1] == [list(range(prob.d))]
+
+    def test_a_partial_merge_gives_the_same_bits(self):
+        # 5 entries a block: a cap of 10 takes blocks 0 and 1 into one piece
+        # and leaves block 2 alone
+        prob = sr.make_problem(sr.reference_tensor(), [[0], [1], [2]], ["3"] * 3)
+        rng = np.random.default_rng(0)
+        x = random_positive(prob, rng)
+        v = rng.standard_normal(10)
+        merged, pieces = self.outputs(prob, 10, x, 1.5, v)
+        assert pieces == [[0, 1], [2]]
+        for cap in self.CAPS:
+            assert self.outputs(prob, cap, x, 1.5, v)[0] == merged
 
 
 class TestGradientMapJacobian:

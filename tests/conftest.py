@@ -123,6 +123,27 @@ def ring_cube(n: int, seed: int, scale: float = 1.0) -> sr.CooTensor:
     return sr.CooTensor((n,) * 3, idx, scale * (1.0 - rng.random(idx.shape[0])))
 
 
+def two_cluster_cube(n: int, eps: float) -> sr.CooTensor:
+    """2n x 2n x 2n tensor of two weakly coupled ring cubes: ``ring_cube(n, 0)``
+    on the indices [0, n) and ``ring_cube(n, 1, scale=0.98)`` on [n, 2n),
+    joined by 20 entries ``(a0, b1 + n, b2 + n)`` and 20 entries ``(b0 + n,
+    a1, a2)`` of value ``eps``, with ``a`` and then ``b`` drawn as
+    ``default_rng(5).integers(0, n, (20, 3))``.  With partition ``1;2;3`` and
+    p = 3,3,3 it is WeaklyIrrCritical; the smaller ``eps``, the slower plain
+    power converges."""
+    first, second = ring_cube(n, 0), ring_cube(n, 1, scale=0.98)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, n, (20, 3))
+    b = rng.integers(0, n, (20, 3))
+    coupling = np.concatenate([
+        np.stack([a[:, 0], b[:, 1] + n, b[:, 2] + n], axis=1),
+        np.stack([b[:, 0] + n, a[:, 1], a[:, 2]], axis=1),
+    ])
+    idx = np.concatenate([first.indices, second.indices + n, coupling])
+    vals = np.concatenate([first.values, second.values, np.full(40, eps)])
+    return sr.CooTensor((2 * n,) * 3, idx, vals)
+
+
 def two_cluster_matrix(n: int, eps: float, seed: int = 0) -> np.ndarray:
     """Dense 2n x 2n nonnegative matrix of two weakly coupled clusters.
 

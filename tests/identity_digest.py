@@ -4,7 +4,7 @@ Run from the root of a checkout::
 
     PYTHONPATH=src python tests/identity_digest.py
 
-It prints five lines; the same lines on two trees mean the same bits.
+It prints six lines; the same lines on two trees mean the same bits.
 BLAS runs on one thread, as in the benchmark, because the last bits of a
 LAPACK solve depend on the thread count: the ``cli`` line read differently
 with two threads than with one.
@@ -18,10 +18,10 @@ with two threads than with one.
 - ``cli``: the files ``specrad random``, ``check --json`` and
   ``solve --json --trace`` (both methods) write for the 0.84 MB tensor of
   ``random --dims 100,100,100 --density 0.03 --seed 0``.
-- ``power``: every output of the power method among the above (the nine
-  bench solves, the ring-cube solves and the CLI's ``power.json`` and
-  ``power.csv``), so that a change to Newton alone can show that it left
-  power bit for bit as it was.
+- ``newton`` and ``power``: every output of one method among the above
+  (the nine bench solves, the ring-cube solves and the CLI's ``lsnnm.json``
+  and ``lsnnm.csv``, or ``power.json`` and ``power.csv``), so that a change
+  to one method can show that it left the other bit for bit as it was.
 - ``jacobian``: the dense ``gradient_map_jacobian`` of the nine
   ``BENCH_CASES`` problems and of the ring cubes above, each at a seeded
   positive point, so that a change to the gradient map's summation can show
@@ -130,10 +130,13 @@ def cli_parts():
 
 if __name__ == "__main__":
     warnings.simplefilter("ignore")
-    power = []
+    by_method = {"lsnnm": [], "power": []}
     for name, make in (("bench", bench_parts), ("ring ", ring_parts), ("cli  ", cli_parts)):
         parts = list(make())
-        power += [b for method, b in parts if method == "power"]
+        for method, b in parts:
+            if method in by_method:
+                by_method[method].append(b)
         print(name, digest(b for _, b in parts))
-    print("power", digest(power))
+    print("newton", digest(by_method["lsnnm"]))
+    print("power", digest(by_method["power"]))
     print("jacobian", digest(b for _, b in jacobian_parts()))

@@ -14,7 +14,7 @@ made a block vector):
     ``_DENSE_MAX_N`` unknowns a step costs one dense factorization of the
     bordered matrix; above it, restarted GMRES solves the bordered system
     from products with the Jacobian in factored form (one gather per mode,
-    one scatter per summation piece), so no N x N matrix is formed.  GMRES runs to an
+    one row sum per summation piece), so no N x N matrix is formed.  GMRES runs to an
     Eisenstat-Walker forcing term, loose while the bracket is wide and
     ``_KRYLOV_RTOL`` in the tail; an inexact step that would not lower the
     eigenvalue is solved again to ``_KRYLOV_RTOL``.  A GMRES that misses the
@@ -288,6 +288,8 @@ def line_search(prob: SpectralProblem, x: BlockVector, lam: float, d: BlockVecto
     ``1e-12 * |x|_inf`` of the boundary.  Returns
     ``(alpha, x_next, backtracks)``.
     """
+    for v in (x, d):
+        conform(prob.partition, v)
     alpha, x_next, _, _, backtracks = _line_search(prob, x.flat, lam, d.flat, delta, opts)
     return alpha, x._with_flat(x_next), backtracks
 

@@ -29,10 +29,9 @@ from .tensor_core import (
     CooTensor,
     ShapePartition,
     _block_plans,
-    _Plan,
-    _jacobian_weights,
+    _jacobian_cells,
+    _jacobian_product,
     _read_only,
-    _sum_rows,
     conform,
     gradient_map,
     gradient_map_jacobian,
@@ -80,12 +79,12 @@ class SpectralProblem:
     ``sum(nu_i / p_i) == 1`` by exact arithmetic instead of a tolerance.
 
     The per-coordinate exponents and block indices, the summation plan
-    ``_plan`` every kernel reads (:class:`~specrad.tensor_core._Plan`: each
-    mode's flat column, and pieces of consecutive blocks, each block's
-    entries ordered stably by its leading mode, with the runs each global
-    row sums), the dense Jacobian's cells, the ``_layout`` that wraps flat
-    iterates and ``classify_regime``'s ``_report`` are computed on first use
-    and kept read-only; equality and hashing see the four fields only.
+    ``_plan`` every kernel reads (:class:`~specrad.tensor_core._Piece` s:
+    each block's entries ordered stably by its leading mode, with the runs
+    each global row sums), the dense Jacobian's cells in plan order, the
+    ``_layout`` that wraps flat iterates and ``classify_regime``'s
+    ``_report`` are computed on first use and kept read-only; equality and
+    hashing see the four fields only.
     """
 
     tensor: CooTensor
@@ -146,9 +145,8 @@ class SpectralProblem:
         return _read_only(np.repeat(np.arange(self.d), self.partition.block_dims))
 
     @cached_property
-    def _plan(self) -> _Plan:
-        """The summation plan of every COO kernel: canonical flat columns
-        and the summation pieces."""
+    def _plan(self) -> tuple:
+        """The summation plan of every COO kernel: its summation pieces."""
         return _block_plans(self.tensor, self.partition)
 
     @cached_property
@@ -158,12 +156,9 @@ class SpectralProblem:
 
     @cached_property
     def _jacobian_cells(self) -> np.ndarray:
-        """Flat ``row * N + col`` of each dense Jacobian weight: block by
-        block, other mode by mode, entry by entry in canonical order; built
-        with the first dense Jacobian (GMRES forms none)."""
-        flat, n = self._plan.flat, self.partition.total_dim
-        cells = [flat[s] * n + c for s in self.partition.starts for q, c in enumerate(flat) if q != s]
-        return _read_only(np.concatenate([np.zeros(0, dtype=np.intp), *cells]))
+        """Flat ``row * N + col`` of each dense Jacobian weight, in plan
+        order; built with the first dense Jacobian (GMRES forms none)."""
+        return _jacobian_cells(self._plan, self.partition.total_dim)
 
     @property
     def nu_over_p(self) -> float:
@@ -345,17 +340,13 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
     its residual rows scaled by ``1/lam`` and its last unknown ``delta/lam``,
     so the system it poses is the same at every scale of the tensor:
     ``J v / lam + x * t`` over ``g . v``, where ``J v = (lam + (p-2) * phi)
-    * v - x**(2-p) * DG v``.  ``DG v`` is applied from the factored weights
-    of :func:`~specrad.tensor_core._jacobian_weights`: each summation piece
-    gathers ``v`` at its columns, sums the weighted gathers entry by entry,
-    and sums each row's run by one ``np.add.reduceat``.  ``diag`` is ``(lam
+    * v - x**(2-p) * DG v``, with ``DG v`` from
+    :func:`~specrad.tensor_core._jacobian_product`.  ``diag`` is ``(lam
     + (p-2) * phi) / lam``, the scaled diagonal of that Jacobian block less
     the part from ``DG``, zero unless a block has more than one mode; ``g``
     is the border row, the constraint gradient, from the block ``norms``.
     """
-    # per piece: its plan and its weights; a piece with no other mode (an
-    # order-1 tensor) adds nothing to DG v
-    pieces = [(pc, ws) for pc, ws in zip(prob._plan.pieces, _jacobian_weights(prob, x)) if ws]
+    DG = _jacobian_product(prob, x)
     pe = prob._p_flat
     xf = x.flat
     n = xf.size
@@ -365,18 +356,8 @@ def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, l
 
     def matvec(v: np.ndarray) -> np.ndarray:
         d = v[:n]
-        DGv = np.zeros(n)
-        for pc, (w, *rest) in pieces:
-            # each gather is a fresh array, so it is weighed in place
-            t = d[pc.cols[0]]
-            t *= w
-            for c, w in zip(pc.cols[1:], rest):
-                u = d[c]
-                u *= w
-                t += u
-            _sum_rows(t, pc, DGv)
         out = np.empty(n + 1)
-        out[:n] = diag * d - scale * DGv + xf * v[n]
+        out[:n] = diag * d - scale * DG(d) + xf * v[n]
         out[n] = g @ d
         return out
 
@@ -485,6 +466,7 @@ class CwReport:
 def cw_bounds(prob: SpectralProblem, x: BlockVector) -> CwReport:
     """Certified bounds bracketing the spectral radius, evaluated at the
     blockwise normalization of ``x > 0``."""
+    conform(prob.partition, x)
     require_positive(x.flat)
     xbar = normalize_blocks(prob, x)
     G = gradient_map(prob, xbar).flat

@@ -11,13 +11,13 @@ checks) is built on top of them.
 
 Indices are zero-based everywhere in memory.  The one-based convention used
 by tensor files and the command line is translated at the I/O boundary only
-(see :mod:`specrad.tensor_io`).  The problem kernels read the summation plan
-``SpectralProblem._plan`` (:class:`_Plan`), and never the index columns: per
-block, the entries ordered stably by its leading mode ``s``, so that each
-row's terms lie in one run, which ``np.add.reduceat`` sums pairwise into its
-global coordinate; consecutive blocks share one such chain of numpy calls, a
-summation piece (:class:`_Piece`).  The error grows with the log of the row
-length, not with the row length as a one-by-one scatter's does.
+(see :mod:`specrad.tensor_io`).  The problem kernels, all in this module,
+read the summation pieces ``SpectralProblem._plan`` (:class:`_Piece`), never
+the index columns: per block, the entries ordered stably by its leading mode
+``s``, so each row's terms lie in one run, which ``np.add.reduceat`` sums
+pairwise into its global coordinate; consecutive blocks share a piece.  The
+error grows with the log of the row length, not with the row length as a
+one-by-one scatter's does.
 """
 from __future__ import annotations
 
@@ -465,16 +465,6 @@ class _Piece(NamedTuple):
     span: slice | None
 
 
-class _Plan(NamedTuple):
-    """A problem's summation plan: ``flat[q]``, the flat coordinate
-    ``offsets[mode_block[q]] + indices[:, q]`` of every entry for each mode
-    ``q`` in canonical order, which the dense Jacobian reads, and the
-    :class:`_Piece` s, each of as many blocks as ``_PIECE_ENTRIES`` allow."""
-
-    flat: tuple[np.ndarray, ...]
-    pieces: tuple[_Piece, ...]
-
-
 def _lead_runs(col: np.ndarray, n: int):
     """``(order, starts, rows)`` of an index column with values in
     ``[0, n)``: the stable sort order of its entries, where each run of
@@ -517,14 +507,11 @@ def _sum_rows(w: np.ndarray, piece: _Piece, out: np.ndarray) -> None:
         out[piece.rows] = np.add.reduceat(w, piece.starts)
 
 
-def _block_plans(tensor: CooTensor, part: ShapePartition) -> _Plan:
-    """The read-only :class:`_Plan` of ``part``; mode 0's own column, at
-    offset 0, is the index column itself."""
+def _block_plans(tensor: CooTensor, part: ShapePartition) -> tuple[_Piece, ...]:
+    """The read-only summation pieces of ``part``, each of as many blocks as
+    ``_PIECE_ENTRIES`` allow."""
     idx, nnz = tensor.indices, tensor.nnz
-    flat = tuple(
-        _read_only(np.add(idx[:, q], part.offsets[i], dtype=np.intp) if q else np.asarray(idx[:, 0], dtype=np.intp))
-        for q, i in enumerate(part.mode_block)
-    )
+    flat = [np.add(idx[:, q], part.offsets[i], dtype=np.intp) for q, i in enumerate(part.mode_block)]
     step = max(1, _PIECE_ENTRIES // nnz) if nnz else part.d  # blocks per piece
     pieces = []
     for a in range(0, part.d, step):
@@ -537,7 +524,7 @@ def _block_plans(tensor: CooTensor, part: ShapePartition) -> _Plan:
         *cols, values, starts, rows = (_read_only(k[0] if len(k) == 1 else np.concatenate(k)) for k in zip(*arrays))
         lo, hi = part.offsets[a], part.offsets[blocks[-1]] + part.block_dims[blocks[-1]]
         pieces.append(_Piece(blocks, tuple(cols), values, starts, rows, slice(lo, hi) if rows.size == hi - lo else None))
-    return _Plan(flat, tuple(pieces))
+    return tuple(pieces)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -560,7 +547,7 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     conform(part, x)
     xf = x.flat
     G = np.zeros(part.total_dim)
-    for pc in prob._plan.pieces:
+    for pc in prob._plan:
         if pc.cols:
             w = xf[pc.cols[0]]
             w *= pc.values  # x * v is v * x to the bit, and saves an array
@@ -572,28 +559,59 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     return x._with_flat(G)
 
 
-def _weights(values: np.ndarray, fac: list) -> tuple[np.ndarray, ...]:
-    """``values`` times every product of all but one of ``fac``: for each
-    ``j``, the prefix ``fac[:j]`` multiplied in order, then the suffix from
-    the last factor back to ``fac[j + 1]``."""
-    def times(w, f):
-        return w * reduce(np.multiply, f) if f else w
-
-    return tuple(times(times(values, fac[:j]), fac[:j:-1]) for j in range(len(fac)))
-
-
 def _jacobian_weights(prob, x: BlockVector):
     """The gradient-map Jacobian at ``x`` in factored form, in plan order.
 
     Returns one tuple per summation piece, a weight array for each column
-    ``c = prob._plan.pieces[k].cols[j]``: entry ``e`` of block ``i``, other
-    mode ``q``, puts ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of
-    block ``i`` and column ``c[e]``.  ``prefix`` multiplies ``x[e_r]`` over
-    the other modes ``r`` before ``q`` in mode order, and ``suffix`` over
-    those after ``q`` from the last mode back.  Cost is ``O(nnz * m^2)``.
+    ``c = prob._plan[k].cols[j]``: entry ``e`` of block ``i``, other mode
+    ``q``, puts ``w[e] = v_e * prefix * suffix`` at row ``e_s`` of block
+    ``i`` and column ``c[e]``.  ``prefix`` multiplies ``x[e_r]`` over the
+    other modes ``r`` before ``q`` in mode order, and ``suffix`` over those
+    after ``q`` from the last mode back.  Cost is ``O(nnz * m^2)``.
     """
     conform(prob.partition, x)
-    return [_weights(pc.values, [x.flat[c] for c in pc.cols]) for pc in prob._plan.pieces]
+
+    def times(w, f):
+        return w * reduce(np.multiply, f) if f else w
+
+    out = []
+    for pc in prob._plan:
+        fac = [x.flat[c] for c in pc.cols]
+        out.append(tuple(times(times(pc.values, fac[:j]), fac[:j:-1]) for j in range(len(fac))))
+    return out
+
+
+def _jacobian_product(prob, x: BlockVector):
+    """``v -> DG v`` for flat ``v`` without forming ``DG``, the gradient-map
+    Jacobian at ``x``: each piece weighs its gathers of ``v`` by
+    :func:`_jacobian_weights` and sums them as :func:`gradient_map` does."""
+    # a piece with no other mode (an order-1 tensor) adds nothing to DG v
+    pieces = [(pc, ws) for pc, ws in zip(prob._plan, _jacobian_weights(prob, x)) if ws]
+
+    def product(v: np.ndarray) -> np.ndarray:
+        DGv = np.zeros(v.size)
+        for pc, (w, *rest) in pieces:
+            # each gather is a fresh array, so it is weighed in place
+            t = v[pc.cols[0]]
+            t *= w
+            for c, w in zip(pc.cols[1:], rest):
+                u = v[c]
+                u *= w
+                t += u
+            _sum_rows(t, pc, DGv)
+        return DGv
+
+    return product
+
+
+def _jacobian_cells(pieces: tuple[_Piece, ...], n: int) -> np.ndarray:
+    """Flat ``row * n + col`` of each weight of :func:`_jacobian_weights`,
+    laid out as those are; a run's row repeats over the run's entries."""
+    cells = []
+    for pc in pieces:
+        rows = np.repeat(pc.rows * n, np.diff(pc.starts, append=pc.values.size))
+        cells += [rows + c for c in pc.cols]
+    return _read_only(np.concatenate([np.zeros(0, dtype=np.intp), *cells]))
 
 
 def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
@@ -601,16 +619,13 @@ def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
 
     Row block ``i`` / column block ``l`` holds the derivative of gradient
     block ``i`` with respect to the variables of block ``l``.  The weights
-    of :func:`_jacobian_weights` are taken in canonical order, each mode's
-    factor ``x.flat[_plan.flat[q]]`` gathered once for every block, and
-    summed in order into the problem's ``_jacobian_cells`` by one
-    ``bincount``.  Cost is ``O(nnz * m^2)`` plus the dense accumulation.
+    of :func:`_jacobian_weights` are summed, in plan order, into the
+    problem's ``_jacobian_cells`` by one ``bincount``; as the plan is stable
+    in each row, a cell's terms come block by block, mode by mode, then in
+    canonical order.  Cost is ``O(nnz * m^2)`` plus the dense accumulation.
     """
-    part = prob.partition
-    conform(part, x)
-    n = part.total_dim
-    fac = [x.flat[c] for c in prob._plan.flat]
-    w = [wq for s in part.starts for wq in _weights(prob.tensor.values, fac[:s] + fac[s + 1:])]
+    n = prob.partition.total_dim
+    w = [wj for ws in _jacobian_weights(prob, x) for wj in ws]
     DG = np.bincount(prob._jacobian_cells, weights=np.concatenate([np.zeros(0), *w]), minlength=n * n)
     # with no weights at all, bincount counts in int64
     return DG.astype(np.float64, copy=False).reshape(n, n)

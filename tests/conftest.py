@@ -84,7 +84,7 @@ def block_segments(prob, per_piece):
     block ``k`` of a piece owns the piece's entries ``k * nnz`` up to
     ``(k + 1) * nnz``."""
     nnz = prob.tensor.nnz
-    pieces = prob._plan.pieces
+    pieces = prob._plan
     return [
         tuple(a[k * nnz:(k + 1) * nnz] for a in arrays)
         for pc, arrays in zip(pieces, per_piece, strict=True)
@@ -97,7 +97,7 @@ def block_plans(prob):
     ``(piece, cols, values, starts, rows)``: ``starts`` counted from the
     segment's first entry and ``rows`` from the block's first coordinate."""
     part, nnz = prob.partition, prob.tensor.nnz
-    pieces = prob._plan.pieces
+    pieces = prob._plan
     out = []
     for i, (pc, (*cols, values)) in enumerate(zip(
         [pc for pc in pieces for _ in pc.blocks],

@@ -4,7 +4,7 @@ Run from the root of a checkout::
 
     PYTHONPATH=src python tests/identity_digest.py
 
-It prints six lines; the same lines on two trees mean the same bits.
+It prints seven lines; the same lines on two trees mean the same bits.
 BLAS runs on one thread, as in the benchmark, because the last bits of a
 LAPACK solve depend on the thread count: the ``cli`` line read differently
 with two threads than with one.
@@ -26,6 +26,10 @@ with two threads than with one.
   ``BENCH_CASES`` problems and of the ring cubes above, each at a seeded
   positive point, so that a change to the gradient map's summation can show
   that the Jacobian kept its bits.
+- ``bordered``: the dense bordered Newton matrix ``newton_matrix`` of the
+  same problems at the same points, with ``lambda`` their largest ratio.
+
+The script uses public names only, so it runs against older trees too.
 
 The file name keeps it out of pytest's collection.
 """
@@ -101,13 +105,25 @@ def ring_parts():
         yield method, result_bytes(sr.solve(prob, method=method))
 
 
-def jacobian_parts():
+def seeded_problems():
+    """The nine ``BENCH_CASES`` problems and the ring cubes, each with a
+    seeded positive point."""
     for k, c in enumerate(BENCH_CASES):
         prob = sr.make_problem(sr.reference_tensor(), c.blocks, c.p)
-        yield None, sr.gradient_map_jacobian(prob, seeded_point(prob, k)).tobytes()
+        yield prob, seeded_point(prob, k)
     for n, seed, blocks, p, _ in RING_SOLVES:
         prob = sr.make_problem(ring_cube(n, seed), blocks, p)
-        yield None, sr.gradient_map_jacobian(prob, seeded_point(prob, seed)).tobytes()
+        yield prob, seeded_point(prob, seed)
+
+
+def jacobian_parts():
+    for prob, x in seeded_problems():
+        yield None, sr.gradient_map_jacobian(prob, x).tobytes()
+
+
+def bordered_parts():
+    for prob, x in seeded_problems():
+        yield None, sr.newton_matrix(prob, x, sr.ratio_max(prob, x)).tobytes()
 
 
 def cli_parts():
@@ -140,3 +156,4 @@ if __name__ == "__main__":
     print("newton", digest(by_method["lsnnm"]))
     print("power", digest(by_method["power"]))
     print("jacobian", digest(b for _, b in jacobian_parts()))
+    print("bordered", digest(b for _, b in bordered_parts()))

@@ -177,6 +177,23 @@ class TestLineSearch:
         alpha, _, backtracks = sr.line_search(prob, x, lam, d, 1e6, sr.SolverOptions())
         assert (alpha, backtracks) == (0.5, 1)
 
+    def test_non_conforming_direction_rejected(self, ref_tensor):
+        # d's nine numbers in one block, against the blocks (3, 3, 3)
+        prob = sr.make_problem(ref_tensor, [[0], [1], [2]], ["3", "3", "3"])
+        x = sr.retract(prob, prob.ones())
+        lam = float(sr.ratio_map(prob, x).flat.max())
+        d = sr.BlockVector([np.full(9, 0.01)])
+        with pytest.raises(ShapeMismatch):
+            sr.line_search(prob, x, lam, d, 1e6, sr.SolverOptions())
+
+    def test_non_conforming_point_rejected(self, ref_tensor):
+        prob = sr.make_problem(ref_tensor, [[0], [1], [2]], ["3", "3", "3"])
+        x = sr.retract(prob, prob.ones())
+        lam = float(sr.ratio_map(prob, x).flat.max())
+        d = sr.BlockVector.from_flat(np.zeros(9), x.lengths)
+        with pytest.raises(ShapeMismatch):
+            sr.line_search(prob, sr.BlockVector([x.flat]), lam, d, 1e6, sr.SolverOptions())
+
 
 class TestClosedForms:
     def test_all_ones_cube_cubic(self, all_ones_cube):

@@ -488,6 +488,11 @@ class TestCwBounds:
         assert_allclose(rep.weighted_lower, 1.0, rtol=1e-12)
         assert_allclose(rep.weighted_upper, 2.0, rtol=1e-12)
 
+    def test_block_vector_required(self, ref_tensor):
+        prob = sr.make_problem(ref_tensor, [[0, 1, 2]], ["3"])
+        with pytest.raises(TypeError, match="BlockVector, got ndarray"):
+            sr.cw_bounds(prob, np.ones(3))
+
     def test_ordering_and_nesting(self, nine_problem):
         prob, _ = nine_problem
         rng = np.random.default_rng(83)

@@ -18,7 +18,7 @@ from specrad.errors import (
     UnequalDimsInBlock,
 )
 import specrad.tensor_core
-from specrad.spectral_maps import _block_norms, _bordered_operator
+from specrad.spectral_maps import _block_norms, _bordered_operator, _newton_matrix
 from specrad.tensor_core import _canonical, _jacobian_weights, _lead_runs, _lexsort_canonical
 
 from conftest import (
@@ -543,13 +543,9 @@ class TestSummationPlan:
             G = sr.gradient_map(prob, x).flat  # builds the plan
         assert "_plan" in vars(prob)
         assert hash(prob) == key and prob == sr.make_problem(t, part.blocks, prob.p_exact)
-        assert len(prob._plan.flat) == part.order
-        for q, c in enumerate(prob._plan.flat):
-            assert c.dtype == np.intp and not c.flags.writeable
-            assert np.array_equal(c, part.offsets[part.mode_block[q]] + t.indices[:, q])
         # the pieces cover the blocks in order; each holds one block or at
         # most cap entries, and could not take the next piece's first block
-        pieces = prob._plan.pieces
+        pieces = prob._plan
         assert [i for pc in pieces for i in pc.blocks] == list(range(part.d))
         for pc, after in zip(pieces, [*pieces[1:], None]):
             assert len(pc.blocks) == 1 or len(pc.blocks) * t.nnz <= cap
@@ -606,18 +602,21 @@ class TestSummationPieces:
 
     @staticmethod
     def outputs(prob, cap, x, lam, v):
-        """The gradient map, the matrix-free Newton product with ``v`` and
-        the Jacobian triplets at ``x``, from a fresh copy of ``prob`` whose
+        """The gradient map, the matrix-free Newton product with ``v``, the
+        Jacobian triplets, the dense ``gradient_map_jacobian`` and the dense
+        bordered Newton matrix at ``x``, from a fresh copy of ``prob`` whose
         plan is built under ``cap``, and the blocks of its pieces."""
         fresh = sr.make_problem(prob.tensor, prob.partition.blocks, prob.p_exact or prob.p)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(specrad.tensor_core, "_PIECE_ENTRIES", cap)
             G = sr.gradient_map(fresh, x).flat  # builds the plan
         phi = sr.ratio_map(fresh, x).flat
-        matvec, _, _ = _bordered_operator(fresh, x, phi, lam, _block_norms(fresh, x.flat))
+        norms = _block_norms(fresh, x.flat)
+        matvec, _, _ = _bordered_operator(fresh, x, phi, lam, norms)
         triplets = jacobian_triplets(fresh, x)
-        bits = [G.tobytes(), matvec(v).tobytes(), *(a.tobytes() for a in triplets)]
-        return bits, [list(pc.blocks) for pc in fresh._plan.pieces]
+        dense = [sr.gradient_map_jacobian(fresh, x), _newton_matrix(fresh, x, phi, lam, norms)]
+        bits = [G.tobytes(), matvec(v).tobytes(), *(a.tobytes() for a in [*triplets, *dense])]
+        return bits, [list(pc.blocks) for pc in fresh._plan]
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(prob=block_problems(), seed=st.integers(0, 2**32 - 1), lam=st.floats(0.1, 10.0))
@@ -690,14 +689,28 @@ class TestGradientMapJacobian:
         assert "_jacobian_cells" not in vars(prob)
         x = random_positive(prob, np.random.default_rng(seed))
         rows, cols, w = jacobian_triplets(prob, x)
-        n = prob.partition.total_dim
+        part, idx = prob.partition, prob.tensor.indices
+        n = part.total_dim
         ref = np.zeros((n, n))
         np.add.at(ref, (rows, cols), w)
         for _ in range(2):
             assert sr.gradient_map_jacobian(prob, x).tobytes() == ref.tobytes()
         cells = prob._jacobian_cells
-        assert not cells.flags.writeable
-        assert np.array_equal(cells, rows * n + cols)
+        assert not cells.flags.writeable and cells.dtype == np.intp
+        # laid out as the weights are: per piece, one column after another
+        per_piece, at = [], 0
+        for pc in prob._plan:
+            k = pc.values.size
+            per_piece.append(tuple(cells[at + j * k:at + (j + 1) * k] for j in range(len(pc.cols))))
+            at += len(pc.cols) * k
+        assert at == cells.size
+        # each block's segment: row by row in the block's stable order by e_s
+        for i, (s, segment) in enumerate(zip(part.starts, block_segments(prob, per_piece), strict=True)):
+            order = np.argsort(idx[:, s], kind="stable")
+            others = [q for q in range(part.order) if q != s]
+            for q, c in zip(others, segment, strict=True):
+                row = part.offsets[i] + idx[order, s]
+                assert np.array_equal(c, row * n + part.offsets[part.mode_block[q]] + idx[order, q])
 
     def test_zero_tensor_gives_zero_jacobian(self):
         t = sr.CooTensor((2, 2, 2), [], [])

@@ -83,8 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("lsnnm", "power"), default="lsnnm")
     sp.add_argument("--tol", type=float, default=SolverOptions.tol)
     sp.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
-    sp.add_argument("--armijo-c", type=float, default=SolverOptions.armijo_c)
-    sp.add_argument("--rho", type=float, default=SolverOptions.backtrack_rho)
     sp.add_argument("--json", dest="json_path", help="write result JSON here")
     sp.add_argument("--trace", dest="trace_path", help="write per-iteration CSV here")
 
@@ -165,6 +163,7 @@ def _write_trace(result: SolveResult, path: str) -> None:
 
 
 def _cmd_solve(args) -> int:
+    opts = SolverOptions(tol=args.tol, max_iter=args.max_iter)
     prob = _load_problem(args)
     report = classify_regime(prob)
     if not report.strict_nonneg:
@@ -180,12 +179,6 @@ def _cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return 3
-    opts = SolverOptions(
-        tol=args.tol,
-        max_iter=args.max_iter,
-        armijo_c=args.armijo_c,
-        backtrack_rho=args.rho,
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("always", RuntimeWarning)
         try:

@@ -8,14 +8,16 @@ made a block vector):
 ``newton_noda``
     Newton's method on the bordered system (eigen residual + normalization
     constraint), safeguarded by a positivity-preserving Armijo backtracking
-    line search, with the eigenvalue refreshed each iteration as the largest
-    componentwise ratio.  Globally convergent with an asymptotically
-    quadratic tail on problems passing the structural checks.  Up to
-    ``_DENSE_MAX_N`` unknowns a step costs one dense factorization of the
-    bordered matrix; above it, restarted GMRES solves the bordered system
-    from products with the Jacobian in factored form (one gather per mode,
-    one row sum per summation piece), so no N x N matrix is formed.  GMRES runs to an
-    Eisenstat-Walker forcing term, loose while the bracket is wide and
+    line search with the fixed constants ``_ARMIJO_C``, ``_BACKTRACK_RHO``
+    and ``_MAX_BACKTRACKS``, with the eigenvalue refreshed each iteration as
+    the largest componentwise ratio.  Globally convergent with an
+    asymptotically quadratic tail on problems passing the structural checks.
+    Up to ``_DENSE_MAX_N`` unknowns a step costs one dense factorization of
+    the bordered matrix; above it, restarted GMRES solves the bordered
+    system, equilibrated by ``1/lam``, from products with the Jacobian in
+    factored form (one gather per column of each summation piece, one
+    pairwise row sum per piece), so no N x N matrix is formed.  GMRES runs
+    to an Eisenstat-Walker forcing term, loose while the bracket is wide and
     ``_KRYLOV_RTOL`` in the tail; an inexact step that would not lower the
     eigenvalue is solved again to ``_KRYLOV_RTOL``.  A GMRES that misses the
     tolerance it was given raises ``KrylovStalled``.  The first iterate is
@@ -63,19 +65,20 @@ from .spectral_maps import (
     BlockVector,
     SpectralProblem,
     _block_norms,
-    _bordered_operator,
     _eigen_system,
     _newton_matrix,
+    _norm_product_grad,
     _normalize,
     _power_update,
     _ratio,
+    _residual_terms,
     _retract,
     normalize_blocks,
     ratio_map,
     require_positive,
 )
 from .structure import AssumptionReport, Regime, classify_regime
-from .tensor_core import conform, gradient_map
+from .tensor_core import _jacobian_product, conform, gradient_map
 
 __all__ = [
     "SolverOptions",
@@ -92,39 +95,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Options shared by both solvers.
+    """Options shared by both solvers; the Newton line search's constants are
+    ``_ARMIJO_C``, ``_BACKTRACK_RHO`` and ``_MAX_BACKTRACKS``.
 
     Parameters
     ----------
     tol:
-        Stop when the certified relative bracket gap drops to this value.
+        Stop when the certified relative bracket gap drops to this value, a
+        finite positive real.
     max_iter:
         Iteration cap; hitting it yields ``converged=False``, not an error.
-    armijo_c:
-        Sufficient-decrease coefficient of the line search.
-    backtrack_rho:
-        Step-halving factor; trial steps are ``backtrack_rho ** j``.
-    max_backtracks:
-        Budget of step reductions before the line search gives up.
     """
 
     tol: float = 1e-12
     max_iter: int = 500
-    armijo_c: float = 1e-2
-    backtrack_rho: float = 0.5
-    max_backtracks: int = 60
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        for name, least in (("max_iter", 1), ("max_backtracks", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack_rho < 1.0:
-            raise ValueError("backtrack_rho must lie in (0, 1)")
+        tol, max_iter = self.tol, self.max_iter
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be a finite positive real, got {tol!r}")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +125,7 @@ class IterRecord:
     ``lambda_k`` is the max ratio at the current iterate, ``delta_k`` the
     eigenvalue correction proposed by the Newton step taken *from* this
     iterate (0 on the terminal row and for the power method), ``alpha_k``
-    the accepted step length ``backtrack_rho ** backtracks``, ``res`` the
+    the accepted step length ``_BACKTRACK_RHO ** backtracks``, ``res`` the
     certified relative bracket gap, ``cw_lower`` the min ratio at the
     blockwise-normalized iterate, ``h_norm`` the max-norm of the bordered
     root function, and ``tangency`` the (normalized) constraint-gradient
@@ -192,7 +183,7 @@ def newton_step(prob: SpectralProblem, x: BlockVector, lam: float):
     """
     phi = ratio_map(prob, x).flat
     norms = _block_norms(prob, x.flat)
-    d, delta, _ = _newton_step(prob, x, phi, lam, _eigen_system(prob, x.flat, phi, lam, norms), norms)
+    d, delta, _ = _newton_step(prob, x.flat, phi, lam, _eigen_system(prob, x.flat, phi, lam, norms), norms)
     return x._with_flat(d), delta
 
 
@@ -238,35 +229,59 @@ def _forcing_term(res: float, lam: float, last_delta: float) -> float:
     return max(_KRYLOV_RTOL, min(_FORCING, _FORCING * res, step_bound))
 
 
-def _newton_step(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float, H: np.ndarray,
+def _krylov_solve(prob: SpectralProblem, x: np.ndarray, phi: np.ndarray, lam: float, H: np.ndarray,
+                  g: np.ndarray, rtol: float) -> np.ndarray:
+    """``(d, delta)``, stacked: the bordered Newton system at the flat
+    ``(x, lam)``, with border row ``g``, solved by GMRES from products, never
+    formed.  Its residual rows and right-hand side are scaled by ``1/lam``
+    and its last unknown is ``delta/lam``, so the system is the same at every
+    scale of the tensor: ``(diag(a) - diag(s) @ DG) v / lam + x * t`` over
+    ``g . v`` (:func:`~specrad.spectral_maps._residual_terms`, with ``DG v``
+    from :func:`~specrad.tensor_core._jacobian_product`).  The Jacobi
+    preconditioner is ``lam / a``: the scaled diagonal without the part from
+    ``DG``, which is zero unless a block has more than one mode.  Solved to
+    ``rtol``, and again to ``_KRYLOV_RTOL`` when that step has a nonnegative
+    ``delta``; a missed tolerance, or a ``lam`` of 0, raises ``KrylovStalled``."""
+    if not lam > 0.0:
+        raise KrylovStalled("every ratio is 0 (lambda = 0): the system scaled by 1/lambda is undefined")
+    n = x.size
+    a, s = _residual_terms(prob, x, phi, lam)
+    diag, scale = a / lam, s / lam
+    DG = _jacobian_product(prob, x)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        d = v[:n]
+        out = np.empty(n + 1)
+        out[:n] = diag * d - scale * DG(d) + x * v[n]
+        out[n] = g @ d
+        return out
+
+    rhs = -H
+    rhs[:n] /= lam
+    precond = np.append(1.0 / diag, 1.0)
+
+    def krylov(tol: float) -> np.ndarray:
+        return gmres(matvec, rhs, precond, rtol=tol, restart=_KRYLOV_RESTART, max_iter=_KRYLOV_MAX_ITER)
+
+    sol = krylov(rtol)
+    if sol[n] >= 0.0 and rtol > _KRYLOV_RTOL:
+        # an inexact step must still lower lambda (Noda's monotonicity)
+        sol = krylov(_KRYLOV_RTOL)
+    sol[n] *= lam
+    return sol
+
+
+def _newton_step(prob: SpectralProblem, x: np.ndarray, phi: np.ndarray, lam: float, H: np.ndarray,
                  norms: np.ndarray, rtol: float = _KRYLOV_RTOL):
     """``(d, delta, tangency)`` from the ratios ``phi``, root function ``H``
-    and block ``norms`` at ``(x, lam)``; the tangency is the step's
-    component along the border row, the constraint gradient.  Up to ``_DENSE_MAX_N`` unknowns the
-    bordered matrix is formed and factored; above it GMRES solves the
-    equilibrated system to the relative tolerance ``rtol``, and again to
-    ``_KRYLOV_RTOL`` when the looser step has a nonnegative ``delta``, or
-    raises ``KrylovStalled``; so does a ``lam`` of 0, which the system is
-    scaled by."""
-    n = x.flat.size
+    and block ``norms`` at the flat ``(x, lam)``; the tangency is the step's
+    component along the border row, the constraint gradient.  Up to
+    ``_DENSE_MAX_N`` unknowns the bordered matrix is formed and factored;
+    above it :func:`_krylov_solve` solves the system to ``rtol``."""
+    n = x.size
     if n > _DENSE_MAX_N:
-        if not lam > 0.0:
-            raise KrylovStalled("every ratio is 0 (lambda = 0): the system scaled by 1/lambda is undefined")
-        matvec, diag, g = _bordered_operator(prob, x, phi, lam, norms)
-        rhs = -H
-        rhs[:n] /= lam
-        precond = np.append(1.0 / diag, 1.0)
-
-        def krylov(tol: float) -> np.ndarray:
-            return gmres(
-                matvec, rhs, precond, rtol=tol, restart=_KRYLOV_RESTART, max_iter=_KRYLOV_MAX_ITER
-            )
-
-        sol = krylov(rtol)
-        if sol[n] >= 0.0 and rtol > _KRYLOV_RTOL:
-            # an inexact step must still lower lambda (Noda's monotonicity)
-            sol = krylov(_KRYLOV_RTOL)
-        sol[n] *= lam
+        g = _norm_product_grad(prob, x, norms)
+        sol = _krylov_solve(prob, x, phi, lam, H, g, rtol)
     else:
         DH = _newton_matrix(prob, x, phi, lam, norms)
         g = DH[n, :n]
@@ -279,7 +294,14 @@ def _newton_step(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: fl
     return d, float(sol[n]), tangency
 
 
-def line_search(prob: SpectralProblem, x: BlockVector, lam: float, d: BlockVector, delta: float, opts: SolverOptions):
+#: The line search's sufficient-decrease coefficient, its step reduction
+#: (trial steps are ``_BACKTRACK_RHO ** j``) and its budget of reductions.
+_ARMIJO_C = 1e-2
+_BACKTRACK_RHO = 0.5
+_MAX_BACKTRACKS = 60
+
+
+def line_search(prob: SpectralProblem, x: BlockVector, lam: float, d: BlockVector, delta: float):
     """Backtrack until the trial point is strictly positive *and* the
     retracted point satisfies the Armijo decrease on the max ratio.
 
@@ -290,29 +312,27 @@ def line_search(prob: SpectralProblem, x: BlockVector, lam: float, d: BlockVecto
     """
     for v in (x, d):
         conform(prob.partition, v)
-    alpha, x_next, _, _, backtracks = _line_search(prob, x.flat, lam, d.flat, delta, opts)
+    alpha, x_next, _, _, backtracks = _line_search(prob, x.flat, lam, d.flat, delta)
     return alpha, x._with_flat(x_next), backtracks
 
 
-def _line_search(prob, x, lam, d, delta, opts):
+def _line_search(prob, x, lam, d, delta):
     """:func:`line_search` on flat ``x`` and ``d``, returning ``(alpha, x_next,
     phi_next, lam_next, backtracks)``: also the ratios at ``x_next`` and their max."""
     floor = 1e-12 * float(np.abs(x).max())
-    for j in range(opts.max_backtracks + 1):
-        alpha = opts.backtrack_rho ** j
+    for j in range(_MAX_BACKTRACKS + 1):
+        alpha = _BACKTRACK_RHO ** j
         trial = x + alpha * d
         if not (trial > 0.0).all():
             continue
         x_next = _retract(prob, trial)
         phi_next = _ratio(prob, x_next, _gradient(prob, x_next))
         lam_next = float(phi_next.max())
-        if lam_next <= lam + opts.armijo_c * alpha * delta:
+        if lam_next <= lam + _ARMIJO_C * alpha * delta:
             if (trial < floor).any():
                 _warn("accepted iterate has a component within 1e-12*|x|_inf of the positivity boundary")
             return alpha, x_next, phi_next, lam_next, j
-    raise LineSearchFailed(
-        f"no acceptable step after {opts.max_backtracks} backtracks"
-    )
+    raise LineSearchFailed(f"no acceptable step after {_MAX_BACKTRACKS} backtracks")
 
 
 def _gradient(prob: SpectralProblem, x: np.ndarray) -> np.ndarray:
@@ -354,7 +374,7 @@ def _certified_loop(prob, x0, opts, method, start, step) -> SolveResult:
     cert, carry)``, flat: a point no caller holds, its ratios, their max, its
     block norms, its certificate ``(xbar, hi, lo, res)`` and what the next
     step needs.  ``start(x0.flat)`` gives the first; ``step(x, phi, lam,
-    norms, res, H, carry, opts)`` the next, with its trace entries ``(delta,
+    norms, res, H, carry)`` the next, with its trace entries ``(delta,
     alpha, backtracks, tangency)``."""
     opts = opts or SolverOptions()
     report = classify_regime(prob)
@@ -380,7 +400,7 @@ def _certified_loop(prob, x0, opts, method, start, step) -> SolveResult:
         if converged or k == opts.max_iter:
             trace.append(IterRecord(k, lam, 0.0, 1.0, 0, res, lo, h_norm))
             break
-        it, (delta, alpha, backtracks, tangency) = step(x, phi, lam, norms, res, H, carry, opts)
+        it, (delta, alpha, backtracks, tangency) = step(x, phi, lam, norms, res, H, carry)
         trace.append(
             IterRecord(k, lam, delta, alpha, backtracks, res, lo, h_norm, tangency)
         )
@@ -416,10 +436,10 @@ def newton_noda(
         phi = _ratio(prob, x, _gradient(prob, x))
         return x, phi, float(phi.max()), *_bracket(prob, x, phi), -math.inf
 
-    def step(x, phi, lam, norms, res, H, last_delta, opts):
+    def step(x, phi, lam, norms, res, H, last_delta):
         eta = _forcing_term(res, lam, last_delta)
-        d, delta, tangency = _newton_step(prob, prob._layout._with_flat(x), phi, lam, H, norms, eta)
-        alpha, x, phi, lam, backtracks = _line_search(prob, x, lam, d, delta, opts)
+        d, delta, tangency = _newton_step(prob, x, phi, lam, H, norms, eta)
+        alpha, x, phi, lam, backtracks = _line_search(prob, x, lam, d, delta)
         return (x, phi, lam, *_bracket(prob, x, phi), delta), (delta, alpha, backtracks, tangency)
 
     return _certified_loop(prob, x0, opts, "lsnnm", start, step)
@@ -476,7 +496,7 @@ def power_iteration(
     def start(x):
         return evaluate(_normalize(prob, x), 0, None, None)
 
-    def step(x, phi, lam, norms, res, H, carry, opts):
+    def step(x, phi, lam, norms, res, H, carry):
         G, k, y_prev, f_prev = carry
         plain = _normalize(prob, _power_update(prob, G))
         y = f = None

@@ -9,9 +9,11 @@ eigenpair ``(lam, x)`` satisfies, blockwise,
 and the spectral radius is the largest such ``lam``.  This module provides
 the componentwise ratio map whose max/min give Collatz-Wielandt bounds, the
 product-of-norms constraint and its gradient, the bordered Newton system of
-the solver, the retraction onto the constraint set, the power-iteration
-update map, the block homogeneity matrix with its weighting data, and
-log-domain versions of the ratio map used by convexity checks.
+the solver (its root function, the residual-block terms that the dense
+matrix and the matrix-free step both read, and the dense matrix), the
+retraction onto the constraint set, the power-iteration update map, the
+block homogeneity matrix with its weighting data, and log-domain versions of
+the ratio map used by convexity checks.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .tensor_core import (
     ShapePartition,
     _block_plans,
     _jacobian_cells,
-    _jacobian_product,
     _read_only,
     conform,
     gradient_map,
@@ -306,8 +307,6 @@ def retract(prob: SpectralProblem, x: BlockVector) -> BlockVector:
 # bordered Newton system
 # --------------------------------------------------------------------------
 
-# The Newton-matrix kernels take ``x`` as a block vector, for the Jacobian.
-
 def _eigen_system(prob: SpectralProblem, x: np.ndarray, phi: np.ndarray, lam: float, norms: np.ndarray) -> np.ndarray:
     H = np.empty(x.size + 1)
     np.subtract(lam * x, phi * x, out=H[:-1])
@@ -315,53 +314,30 @@ def _eigen_system(prob: SpectralProblem, x: np.ndarray, phi: np.ndarray, lam: fl
     return H
 
 
-def _residual_jacobian(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float) -> np.ndarray:
+def _residual_terms(prob: SpectralProblem, x: np.ndarray, phi: np.ndarray, lam: float):
+    """``(a, s)``, with ``a = lam + (p-2) * phi`` and ``s = x**(2-p)``: the
+    residual block of the bordered Newton matrix at the flat ``x`` is
+    ``diag(a) - diag(s) @ DG``, with ``DG`` the gradient-map Jacobian."""
     pe = prob._p_flat
-    J = gradient_map_jacobian(prob, x)
-    J *= -(x.flat ** (2.0 - pe))[:, None]
-    J.flat[:: J.shape[0] + 1] += lam + (pe - 2.0) * phi
+    return lam + (pe - 2.0) * phi, x ** (2.0 - pe)
+
+
+def _residual_jacobian(prob: SpectralProblem, x: np.ndarray, phi: np.ndarray, lam: float) -> np.ndarray:
+    a, s = _residual_terms(prob, x, phi, lam)
+    J = gradient_map_jacobian(prob, prob._layout._with_flat(x))
+    J *= -s[:, None]
+    J.flat[:: J.shape[0] + 1] += a
     return J
 
 
-def _newton_matrix(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float, norms: np.ndarray) -> np.ndarray:
+def _newton_matrix(prob: SpectralProblem, x: np.ndarray, phi: np.ndarray, lam: float, norms: np.ndarray) -> np.ndarray:
     J = _residual_jacobian(prob, x, phi, lam)
-    n = J.shape[0]
+    n = x.size
     DH = np.zeros((n + 1, n + 1))  # after J, so the Jacobian's scratch is freed
     DH[:n, :n] = J
-    DH[:n, n] = x.flat
-    DH[n, :n] = _norm_product_grad(prob, x.flat, norms)
+    DH[:n, n] = x
+    DH[n, :n] = _norm_product_grad(prob, x, norms)
     return DH
-
-
-def _bordered_operator(prob: SpectralProblem, x: BlockVector, phi: np.ndarray, lam: float, norms: np.ndarray):
-    """The bordered Newton matrix as a product, never formed.
-
-    Returns ``(matvec, diag, g)``.  ``matvec`` multiplies the matrix with
-    its residual rows scaled by ``1/lam`` and its last unknown ``delta/lam``,
-    so the system it poses is the same at every scale of the tensor:
-    ``J v / lam + x * t`` over ``g . v``, where ``J v = (lam + (p-2) * phi)
-    * v - x**(2-p) * DG v``, with ``DG v`` from
-    :func:`~specrad.tensor_core._jacobian_product`.  ``diag`` is ``(lam
-    + (p-2) * phi) / lam``, the scaled diagonal of that Jacobian block less
-    the part from ``DG``, zero unless a block has more than one mode; ``g``
-    is the border row, the constraint gradient, from the block ``norms``.
-    """
-    DG = _jacobian_product(prob, x)
-    pe = prob._p_flat
-    xf = x.flat
-    n = xf.size
-    diag = (lam + (pe - 2.0) * phi) / lam
-    scale = xf ** (2.0 - pe) / lam
-    g = _norm_product_grad(prob, xf, norms)
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        d = v[:n]
-        out = np.empty(n + 1)
-        out[:n] = diag * d - scale * DG(d) + xf * v[n]
-        out[n] = g @ d
-        return out
-
-    return matvec, diag, g
 
 
 def eigen_residual(prob: SpectralProblem, x: BlockVector, lam: float) -> BlockVector:
@@ -377,13 +353,15 @@ def eigen_system(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarra
 def residual_jacobian(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarray:
     """Jacobian of the eigen residual in ``x`` at fixed ``lam``:
     ``-diag(x**(2-p)) @ gradient_map_jacobian(x) + diag(lam + (p-2) * ratio_map(x))``."""
-    return _residual_jacobian(prob, x, ratio_map(prob, x).flat, lam)
+    phi = ratio_map(prob, x).flat
+    return _residual_jacobian(prob, x.flat, phi, lam)
 
 
 def newton_matrix(prob: SpectralProblem, x: BlockVector, lam: float) -> np.ndarray:
     """Bordered ``(n+1) x (n+1)`` matrix: residual Jacobian, the direction
     ``x`` in the last column, and the constraint gradient in the last row."""
-    return _newton_matrix(prob, x, ratio_map(prob, x).flat, lam, _block_norms(prob, x.flat))
+    phi = ratio_map(prob, x).flat
+    return _newton_matrix(prob, x.flat, phi, lam, _block_norms(prob, x.flat))
 
 
 # --------------------------------------------------------------------------

@@ -559,8 +559,8 @@ def gradient_map(prob, x: BlockVector) -> BlockVector:
     return x._with_flat(G)
 
 
-def _jacobian_weights(prob, x: BlockVector):
-    """The gradient-map Jacobian at ``x`` in factored form, in plan order.
+def _jacobian_weights(prob, x: np.ndarray):
+    """The gradient-map Jacobian at the flat ``x`` in factored form, in plan order.
 
     Returns one tuple per summation piece, a weight array for each column
     ``c = prob._plan[k].cols[j]``: entry ``e`` of block ``i``, other mode
@@ -569,21 +569,20 @@ def _jacobian_weights(prob, x: BlockVector):
     other modes ``r`` before ``q`` in mode order, and ``suffix`` over those
     after ``q`` from the last mode back.  Cost is ``O(nnz * m^2)``.
     """
-    conform(prob.partition, x)
 
     def times(w, f):
         return w * reduce(np.multiply, f) if f else w
 
     out = []
     for pc in prob._plan:
-        fac = [x.flat[c] for c in pc.cols]
+        fac = [x[c] for c in pc.cols]
         out.append(tuple(times(times(pc.values, fac[:j]), fac[:j:-1]) for j in range(len(fac))))
     return out
 
 
-def _jacobian_product(prob, x: BlockVector):
+def _jacobian_product(prob, x: np.ndarray):
     """``v -> DG v`` for flat ``v`` without forming ``DG``, the gradient-map
-    Jacobian at ``x``: each piece weighs its gathers of ``v`` by
+    Jacobian at the flat ``x``: each piece weighs its gathers of ``v`` by
     :func:`_jacobian_weights` and sums them as :func:`gradient_map` does."""
     # a piece with no other mode (an order-1 tensor) adds nothing to DG v
     pieces = [(pc, ws) for pc, ws in zip(prob._plan, _jacobian_weights(prob, x)) if ws]
@@ -624,8 +623,9 @@ def gradient_map_jacobian(prob, x: BlockVector) -> np.ndarray:
     in each row, a cell's terms come block by block, mode by mode, then in
     canonical order.  Cost is ``O(nnz * m^2)`` plus the dense accumulation.
     """
+    conform(prob.partition, x)
     n = prob.partition.total_dim
-    w = [wj for ws in _jacobian_weights(prob, x) for wj in ws]
+    w = [wj for ws in _jacobian_weights(prob, x.flat) for wj in ws]
     DG = np.bincount(prob._jacobian_cells, weights=np.concatenate([np.zeros(0), *w]), minlength=n * n)
     # with no weights at all, bincount counts in int64
     return DG.astype(np.float64, copy=False).reshape(n, n)

@@ -109,6 +109,27 @@ def block_plans(prob):
     return out
 
 
+def krylov_system(prob, x, lam):
+    """``(matvec, rhs, precond)``: the equilibrated bordered Newton system
+    that ``solvers._newton_step`` hands GMRES at ``(x, lam)``, whatever the
+    problem's size, taken from a stand-in GMRES that returns zeros."""
+    seen = []
+
+    def capture(matvec, rhs, precond, **kwargs):
+        seen.append((matvec, rhs, precond))
+        return np.zeros(rhs.size)
+
+    phi = sr.ratio_map(prob, x).flat
+    H = sr.eigen_system(prob, x, lam)
+    norms = sr.spectral_maps._block_norms(prob, x.flat)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sr.solvers, "_DENSE_MAX_N", 0)
+        mp.setattr(sr.solvers, "gmres", capture)
+        sr.solvers._newton_step(prob, x.flat, phi, lam, H, norms)
+    (system,) = seen
+    return system
+
+
 def ring_cube(n: int, seed: int, scale: float = 1.0) -> sr.CooTensor:
     """Seeded sparse n x n x n tensor: 30 random coordinates per index plus the
     entries ``(t, t, t)`` and ``(t, t+1, t+1)`` (mod n), which make it strictly

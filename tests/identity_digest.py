@@ -5,6 +5,13 @@ Run from the root of a checkout::
     PYTHONPATH=src python tests/identity_digest.py
 
 It prints seven lines; the same lines on two trees mean the same bits.
+``--expect FILE`` compares them with lines saved from an earlier run (its
+printed output), names each line that differs and exits 1 on any
+mismatch::
+
+    PYTHONPATH=src python tests/identity_digest.py > digest.txt
+    PYTHONPATH=src python tests/identity_digest.py --expect digest.txt
+
 BLAS runs on one thread, as in the benchmark, because the last bits of a
 LAPACK solve depend on the thread count: the ``cli`` line read differently
 with two threads than with one.
@@ -39,6 +46,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -144,16 +152,45 @@ def cli_parts():
             yield name.split(".")[0], (d / name).read_bytes()
 
 
+def compare(lines, expected) -> list[str]:
+    """One message for each line of ``lines`` that differs from the line of
+    the same name in ``expected``, and for each name found in only one."""
+    got = dict(line.split(None, 1) for line in lines)
+    want = dict(line.split(None, 1) for line in expected if line.strip())
+    return [
+        f"{name}: expected {want.get(name, '(none)')}, got {got.get(name, '(none)')}"
+        for name in [*want, *(n for n in got if n not in want)]
+        if got.get(name) != want.get(name)
+    ]
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--expect", metavar="FILE",
+        help="compare the printed lines with those saved in FILE; exit 1 naming each that differs",
+    )
+    args = parser.parse_args()
     warnings.simplefilter("ignore")
+    lines = []
+
+    def emit(name, value):
+        lines.append(f"{name} {value}")
+        print(lines[-1], flush=True)
+
     by_method = {"lsnnm": [], "power": []}
     for name, make in (("bench", bench_parts), ("ring ", ring_parts), ("cli  ", cli_parts)):
         parts = list(make())
         for method, b in parts:
             if method in by_method:
                 by_method[method].append(b)
-        print(name, digest(b for _, b in parts))
-    print("newton", digest(by_method["lsnnm"]))
-    print("power", digest(by_method["power"]))
-    print("jacobian", digest(b for _, b in jacobian_parts()))
-    print("bordered", digest(b for _, b in bordered_parts()))
+        emit(name, digest(b for _, b in parts))
+    emit("newton", digest(by_method["lsnnm"]))
+    emit("power", digest(by_method["power"]))
+    emit("jacobian", digest(b for _, b in jacobian_parts()))
+    emit("bordered", digest(b for _, b in bordered_parts()))
+    if args.expect:
+        mismatches = compare(lines, Path(args.expect).read_text().splitlines())
+        for message in mismatches:
+            print(f"mismatch: {message}", file=sys.stderr)
+        sys.exit(1 if mismatches else 0)

@@ -508,14 +508,17 @@ class TestCliSolve:
         assert captured.err.startswith("specrad:")
 
     def test_bad_solver_option_exits_1(self, ref_file, capsys):
-        rc = run_cli(
-            [
-                "solve", "--tensor", ref_file, "--partition", "1,2,3",
-                "--p", "3", "--tol", "-1",
-            ]
-        )
-        capsys.readouterr()
-        assert rc == 1
+        # tol = inf would certify res = inf after 0 iterations
+        for tol in ("-1", "inf"):
+            rc = run_cli(
+                [
+                    "solve", "--tensor", ref_file, "--partition", "1,2,3",
+                    "--p", "3", "--tol", tol,
+                ]
+            )
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert "tol must be a finite positive real" in captured.err
 
     def test_usage_errors_exit_1(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -526,6 +529,12 @@ class TestCliSolve:
             run_cli(["frobnicate"])
         assert ei.value.code == 1
         capsys.readouterr()
+        # the line search's constants are not options
+        for option in ("--rho", "--armijo-c"):
+            with pytest.raises(SystemExit) as ei:
+                run_cli(["solve", "--tensor", "t", "--partition", "1", "--p", "3", option, "0.5"])
+            assert ei.value.code == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as ei:

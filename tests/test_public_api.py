@@ -33,12 +33,7 @@ def test_cli_and_bench_defaults_are_the_solver_options():
     opts = sr.SolverOptions()
     parser = _build_parser()
     s = parser.parse_args(["solve", "--tensor", "t", "--partition", "1", "--p", "3"])
-    assert (s.tol, s.max_iter, s.armijo_c, s.rho) == (
-        opts.tol,
-        opts.max_iter,
-        opts.armijo_c,
-        opts.backtrack_rho,
-    )
+    assert (s.tol, s.max_iter) == (opts.tol, opts.max_iter)
     b = parser.parse_args(["bench"])
     assert (b.tol, b.max_iter) == (opts.tol, opts.max_iter)
     params = inspect.signature(sr.run_benchmark).parameters

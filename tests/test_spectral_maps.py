@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 
 import specrad as sr
 from specrad.errors import NonPositiveInput, OverflowGuard, SpecradError, ZeroNormBlock
-from specrad.spectral_maps import _block_norms, _bordered_operator, _newton_matrix, _residual_jacobian
+from specrad.spectral_maps import _block_norms, _newton_matrix, _residual_jacobian
 
-from conftest import block_plans, block_problems, bv, fd_grad, fd_jacobian, random_positive, rel_err
+from conftest import block_plans, block_problems, bv, fd_grad, fd_jacobian, krylov_system, random_positive, rel_err
 
 
 def pinv_otimes(prob, x):
@@ -343,8 +343,11 @@ class TestEigenSystem:
 
 
 class TestBorderedOperator:
-    """The matrix-free Newton product is the bordered Newton matrix with its
-    residual rows scaled by ``1/lam`` and its last unknown by ``lam``."""
+    """The matrix-free Newton product GMRES is handed is the bordered Newton
+    matrix with its residual rows scaled by ``1/lam`` and its last unknown by
+    ``lam``; its right-hand side is scaled alike, and its preconditioner is
+    the inverse of the scaled residual block's diagonal less the part from
+    the gradient-map Jacobian."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(prob=block_problems(), seed=st.integers(0, 10**6), lam=st.floats(0.1, 10.0))
@@ -354,21 +357,25 @@ class TestBorderedOperator:
         phi = sr.ratio_map(prob, x).flat
         n = x.flat.size
         norms = _block_norms(prob, x.flat)
-        matvec, diag, g = _bordered_operator(prob, x, phi, lam, norms)
-        DH = _newton_matrix(prob, x, phi, lam, norms)
+        matvec, rhs, precond = krylov_system(prob, x, lam)
+        DH = _newton_matrix(prob, x.flat, phi, lam, norms)
         v = rng.standard_normal(n + 1)
         rows = np.append(np.full(n, 1.0 / lam), 1.0)
         cols = np.append(np.ones(n), lam)
         assert rel_err(matvec(v), rows * (DH @ (cols * v))) <= 1e-13
-        # diag leaves out the gradient map's own diagonal, which is zero
-        # unless a block has more than one mode
+        H = sr.eigen_system(prob, x, lam)
+        assert np.array_equal(rhs, np.append(-H[:n] / lam, -H[n]))
+        # the preconditioner leaves out the gradient map's own diagonal,
+        # which is zero unless a block has more than one mode
         pe = prob._p_flat
         DG = sr.gradient_map_jacobian(prob, x)
-        J = _residual_jacobian(prob, x, phi, lam)
-        assert rel_err(diag, (np.diag(J) + x.flat ** (2.0 - pe) * np.diag(DG)) / lam) <= 1e-13
+        J = _residual_jacobian(prob, x.flat, phi, lam)
+        assert rel_err(1.0 / precond[:n], (np.diag(J) + x.flat ** (2.0 - pe) * np.diag(DG)) / lam) <= 1e-13
+        assert precond[n] == 1.0
         if max(prob.partition.nu) == 1:
             assert np.array_equal(np.diag(DG), np.zeros(n))
-        assert np.array_equal(g, DH[n, :n])
+        # the border row, read off the products with the unit vectors
+        assert np.array_equal([matvec(e)[n] for e in np.eye(n + 1)[:n]], DH[n, :n])
 
 
 class TestPowerMap:

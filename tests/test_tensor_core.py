@@ -18,7 +18,7 @@ from specrad.errors import (
     UnequalDimsInBlock,
 )
 import specrad.tensor_core
-from specrad.spectral_maps import _block_norms, _bordered_operator, _newton_matrix
+from specrad.spectral_maps import _block_norms, _newton_matrix
 from specrad.tensor_core import _canonical, _jacobian_weights, _lead_runs, _lexsort_canonical
 
 from conftest import (
@@ -28,6 +28,7 @@ from conftest import (
     dense_from_coo,
     fd_grad,
     fd_jacobian,
+    krylov_system,
     oracle_grad,
     oracle_multilinear,
     random_positive,
@@ -48,7 +49,7 @@ def jacobian_triplets(prob, x):
     idx = prob.tensor.indices
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     w = [np.zeros(0)]
-    weights = block_segments(prob, _jacobian_weights(prob, x))
+    weights = block_segments(prob, _jacobian_weights(prob, x.flat))
     for i, (s, ws) in enumerate(zip(part.starts, weights, strict=True)):
         order = np.argsort(idx[:, s], kind="stable")
         others = [q for q in range(part.order) if q != s]
@@ -612,9 +613,9 @@ class TestSummationPieces:
             G = sr.gradient_map(fresh, x).flat  # builds the plan
         phi = sr.ratio_map(fresh, x).flat
         norms = _block_norms(fresh, x.flat)
-        matvec, _, _ = _bordered_operator(fresh, x, phi, lam, norms)
+        matvec, _, _ = krylov_system(fresh, x, lam)
         triplets = jacobian_triplets(fresh, x)
-        dense = [sr.gradient_map_jacobian(fresh, x), _newton_matrix(fresh, x, phi, lam, norms)]
+        dense = [sr.gradient_map_jacobian(fresh, x), _newton_matrix(fresh, x.flat, phi, lam, norms)]
         bits = [G.tobytes(), matvec(v).tobytes(), *(a.tobytes() for a in [*triplets, *dense])]
         return bits, [list(pc.blocks) for pc in fresh._plan]
 

@@ -1,16 +1,19 @@
 """Solvers for the positive block-spectral eigenpair.
 
-Both methods run one loop, which owns the start-point checks, the stopping
-rule on the certificate, the trace and the result; each method supplies only
-its first iterate and its step, on flat arrays (the result's ``x`` alone is
-made a block vector):
+Both methods run one loop, which owns the start-point checks, the
+blockwise normalization of the start, the stopping rule on the certificate,
+the trace and the result; each method supplies only its first iterate and
+its step, on flat arrays (the result's ``x`` alone is made a block vector).
+Every iterate is normalized blockwise, so the loop reads its certificate off
+its ratios as they are:
 
 ``newton_noda``
     Newton's method on the bordered system (eigen residual + normalization
     constraint), safeguarded by a positivity-preserving Armijo backtracking
     line search with the fixed constants ``_ARMIJO_C``, ``_BACKTRACK_RHO``
-    and ``_MAX_BACKTRACKS``, with the eigenvalue refreshed each iteration as
-    the largest componentwise ratio.  Globally convergent with an
+    and ``_MAX_BACKTRACKS``, which normalizes each trial point blockwise;
+    the eigenvalue is refreshed each iteration as the largest ratio there,
+    the certified upper bound (Noda's rule).  Globally convergent with an
     asymptotically quadratic tail on problems passing the structural checks.
     Up to ``_DENSE_MAX_N`` unknowns a step costs one dense factorization of
     the bordered matrix; above it, restarted GMRES solves the bordered
@@ -20,11 +23,9 @@ made a block vector):
     to an Eisenstat-Walker forcing term, loose while the bracket is wide and
     ``_KRYLOV_RTOL`` in the tail; an inexact step that would not lower the
     eigenvalue is solved again to ``_KRYLOV_RTOL``.  A GMRES that misses the
-    tolerance it was given raises ``KrylovStalled``.  The first iterate is
-    the retraction of the start point; the line search hands on the ratios
-    at its accepted point and their max, which the certificate rescales to
-    the blockwise normalization by one exact factor per block.  The block
-    norms it takes serve the root function and the step: once per iterate.
+    tolerance it was given raises ``KrylovStalled``.  The line search
+    hands on the ratios at its accepted point; the block norms the loop
+    takes serve the root function and the step: once per iterate.
 
 ``power_iteration``
     Normalized fixed-point iteration of the power map, accelerated by
@@ -32,8 +33,7 @@ made a block vector):
     is kept only if its certified bracket gap does not grow; otherwise the
     plain power iterate is taken, whose rate is linear at best.  The method
     stays derivative-free and is used as an independent cross-check of the
-    Newton solver.  Its iterates are normalized blockwise, so the
-    certificate is read off the ratios as they are.
+    Newton solver.
 
 Convergence is certified through Collatz-Wielandt bounds: with the iterate
 normalized blockwise, the min and max componentwise ratios bracket the
@@ -72,7 +72,6 @@ from .spectral_maps import (
     _power_update,
     _ratio,
     _residual_terms,
-    _retract,
     normalize_blocks,
     ratio_map,
     require_positive,
@@ -122,13 +121,14 @@ class SolverOptions:
 class IterRecord:
     """One row of a solve trace.
 
-    ``lambda_k`` is the max ratio at the current iterate, ``delta_k`` the
-    eigenvalue correction proposed by the Newton step taken *from* this
-    iterate (0 on the terminal row and for the power method), ``alpha_k``
-    the accepted step length ``_BACKTRACK_RHO ** backtracks``, ``res`` the
-    certified relative bracket gap, ``cw_lower`` the min ratio at the
-    blockwise-normalized iterate, ``h_norm`` the max-norm of the bordered
-    root function, and ``tangency`` the (normalized) constraint-gradient
+    ``lambda_k`` is the max ratio at the current iterate, which is
+    normalized blockwise, so it is the row's certified upper bound;
+    ``delta_k`` the eigenvalue correction proposed by the Newton step taken
+    *from* this iterate (0 on the terminal row and for the power method),
+    ``alpha_k`` the accepted step length ``_BACKTRACK_RHO ** backtracks``,
+    ``res`` the certified relative bracket gap, ``cw_lower`` the min ratio
+    at the iterate, ``h_norm`` the max-norm of the bordered root function,
+    and ``tangency`` the (normalized) constraint-gradient
     component of the step direction, which an exact Newton step keeps at
     roundoff level; on the GMRES path it sits at the level of the step's
     forcing term.  The power method records ``delta_k``, ``alpha_k`` and
@@ -302,8 +302,8 @@ _MAX_BACKTRACKS = 60
 
 
 def line_search(prob: SpectralProblem, x: BlockVector, lam: float, d: BlockVector, delta: float):
-    """Backtrack until the trial point is strictly positive *and* the
-    retracted point satisfies the Armijo decrease on the max ratio.
+    """Backtrack until the trial point is strictly positive *and* its
+    blockwise normalization satisfies the Armijo decrease on the max ratio.
 
     Positivity is tested with an exact componentwise ``> 0``; a diagnostic
     warning fires when an accepted point has a component within
@@ -312,26 +312,25 @@ def line_search(prob: SpectralProblem, x: BlockVector, lam: float, d: BlockVecto
     """
     for v in (x, d):
         conform(prob.partition, v)
-    alpha, x_next, _, _, backtracks = _line_search(prob, x.flat, lam, d.flat, delta)
+    alpha, x_next, _, backtracks = _line_search(prob, x.flat, lam, d.flat, delta)
     return alpha, x._with_flat(x_next), backtracks
 
 
 def _line_search(prob, x, lam, d, delta):
     """:func:`line_search` on flat ``x`` and ``d``, returning ``(alpha, x_next,
-    phi_next, lam_next, backtracks)``: also the ratios at ``x_next`` and their max."""
+    phi_next, backtracks)``: also the ratios at ``x_next``."""
     floor = 1e-12 * float(np.abs(x).max())
     for j in range(_MAX_BACKTRACKS + 1):
         alpha = _BACKTRACK_RHO ** j
         trial = x + alpha * d
         if not (trial > 0.0).all():
             continue
-        x_next = _retract(prob, trial)
+        x_next = _normalize(prob, trial)
         phi_next = _ratio(prob, x_next, _gradient(prob, x_next))
-        lam_next = float(phi_next.max())
-        if lam_next <= lam + _ARMIJO_C * alpha * delta:
+        if phi_next.max() <= lam + _ARMIJO_C * alpha * delta:
             if (trial < floor).any():
                 _warn("accepted iterate has a component within 1e-12*|x|_inf of the positivity boundary")
-            return alpha, x_next, phi_next, lam_next, j
+            return alpha, x_next, phi_next, j
     raise LineSearchFailed(f"no acceptable step after {_MAX_BACKTRACKS} backtracks")
 
 
@@ -358,24 +357,13 @@ def _cw_bracket(phi: np.ndarray):
     return hi, lo, (hi - lo) / lo if lo > 0.0 else math.inf
 
 
-def _bracket(prob: SpectralProblem, x: np.ndarray, phi: np.ndarray):
-    """``(n, (xbar, hi, lo, res))``: the block norms of the flat ``x`` and the
-    certificate at its blockwise normalization, from the ratios ``phi`` at
-    ``x``.  Block ``i`` of the gradient map has degree ``nu_l`` in block ``l
-    != i`` and ``nu_i - 1`` in block ``i``, so the ratios at ``xbar`` are
-    ``phi_i * n_i**p_i / prod_l n_l**nu_l``."""
-    n = _block_norms(prob, x)
-    scale = n ** prob.p / (n ** prob.partition.nu).prod()
-    return n, (x / n[prob._coord_block], *_cw_bracket(phi * scale[prob._coord_block]))
-
-
 def _certified_loop(prob, x0, opts, method, start, step) -> SolveResult:
-    """The loop both solvers share.  An iterate is ``(x, phi, lam, norms,
-    cert, carry)``, flat: a point no caller holds, its ratios, their max, its
-    block norms, its certificate ``(xbar, hi, lo, res)`` and what the next
-    step needs.  ``start(x0.flat)`` gives the first; ``step(x, phi, lam,
-    norms, res, H, carry)`` the next, with its trace entries ``(delta,
-    alpha, backtracks, tangency)``."""
+    """The loop both solvers share.  An iterate is ``(x, phi, carry)``, flat:
+    a blockwise-normalized point no caller holds, its ratios and what the
+    next step needs; the loop reads its certificate off ``phi`` and takes
+    its block norms once.  ``start(x)`` gives the first iterate from the
+    normalized start; ``step(x, phi, lam, norms, res, H, carry)`` the next,
+    with its trace entries ``(delta, alpha, backtracks, tangency)``."""
     opts = opts or SolverOptions()
     report = classify_regime(prob)
     if report.regime is Regime.UNSUPPORTED:
@@ -390,10 +378,14 @@ def _certified_loop(prob, x0, opts, method, start, step) -> SolveResult:
         x0 = prob.ones()
     conform(prob.partition, x0)
     require_positive(x0.flat)
-    it = start(x0.flat)
+    # each block scaled by its max first, so that no sum of x**p overflows
+    x = x0.flat / np.maximum.reduceat(x0.flat, prob.partition.offsets)[prob._coord_block]
+    it = start(_normalize(prob, x))
     trace: list[IterRecord] = []
     for k in range(opts.max_iter + 1):
-        x, phi, lam, norms, (xbar, hi, lo, res), carry = it
+        x, phi, carry = it
+        lam, lo, res = _cw_bracket(phi)
+        norms = _block_norms(prob, x)
         H = _eigen_system(prob, x, phi, lam, norms)
         h_norm = float(np.abs(H).max())
         converged = res <= opts.tol
@@ -405,11 +397,11 @@ def _certified_loop(prob, x0, opts, method, start, step) -> SolveResult:
             IterRecord(k, lam, delta, alpha, backtracks, res, lo, h_norm, tangency)
         )
     return SolveResult(
-        lambda_star=0.5 * (hi + lo),
-        x=prob._layout._with_flat(xbar),
+        lambda_star=0.5 * (lam + lo),
+        x=prob._layout._with_flat(x),
         res=res,
         cw_lower=lo,
-        cw_upper=hi,
+        cw_upper=lam,
         iterations=k,
         converged=converged,
         method=method,
@@ -425,22 +417,21 @@ def newton_noda(
 ) -> SolveResult:
     """Line-search Newton iteration for the positive eigenpair.
 
-    Starts from the retraction of ``x0`` (all-ones by default), refreshes
-    the eigenvalue estimate as the max ratio at every iterate, takes damped
-    Newton steps on the bordered system, and stops once the certified
-    bracket gap falls to ``opts.tol`` or the iteration cap is reached.
+    Starts from the blockwise normalization of ``x0`` (all-ones by
+    default), refreshes the eigenvalue estimate as the max ratio at every
+    iterate, takes damped Newton steps on the bordered system, and stops
+    once the certified bracket gap falls to ``opts.tol`` or the iteration
+    cap is reached.
     """
 
     def start(x):
-        x = _retract(prob, x)
-        phi = _ratio(prob, x, _gradient(prob, x))
-        return x, phi, float(phi.max()), *_bracket(prob, x, phi), -math.inf
+        return x, _ratio(prob, x, _gradient(prob, x)), -math.inf
 
     def step(x, phi, lam, norms, res, H, last_delta):
         eta = _forcing_term(res, lam, last_delta)
         d, delta, tangency = _newton_step(prob, x, phi, lam, H, norms, eta)
-        alpha, x, phi, lam, backtracks = _line_search(prob, x, lam, d, delta)
-        return (x, phi, lam, *_bracket(prob, x, phi), delta), (delta, alpha, backtracks, tangency)
+        alpha, x, phi, backtracks = _line_search(prob, x, lam, d, delta)
+        return (x, phi, delta), (delta, alpha, backtracks, tangency)
 
     return _certified_loop(prob, x0, opts, "lsnnm", start, step)
 
@@ -489,12 +480,10 @@ def power_iteration(
 
     def evaluate(x, *window):
         G = _gradient(prob, x)
-        phi = _ratio(prob, x, G)
-        hi, lo, res = _cw_bracket(phi)
-        return x, phi, hi, _block_norms(prob, x), (x, hi, lo, res), (G, *window)
+        return x, _ratio(prob, x, G), (G, *window)
 
     def start(x):
-        return evaluate(_normalize(prob, x), 0, None, None)
+        return evaluate(x, 0, None, None)
 
     def step(x, phi, lam, norms, res, H, carry):
         G, k, y_prev, f_prev = carry
@@ -510,9 +499,11 @@ def power_iteration(
                 # a wild extrapolation is rejected, not warned about
                 with np.errstate(all="ignore"):
                     cand = _anderson(prob, y, f, dy[:k], df[:k])
-                    it = evaluate(cand, k + 1, y, f) if cand.min() > 0.0 else None
-                if it is not None and it[4][3] <= res:  # the candidate's certified res
-                    return it, (0.0, 1.0, 0, 0.0)
+                    if cand.min() > 0.0:
+                        cand, cand_phi, cand_carry = evaluate(cand, k + 1, y, f)
+                        _, _, cand_res = _cw_bracket(cand_phi)
+                        if cand_res <= res:
+                            return (cand, cand_phi, cand_carry), (0.0, 1.0, 0, 0.0)
         return evaluate(plain, k + 1, y, f), (0.0, 1.0, int(k > 0), 0.0)
 
     return _certified_loop(prob, x0, opts, "power", start, step)

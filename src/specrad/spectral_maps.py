@@ -271,13 +271,6 @@ def _normalize(prob: SpectralProblem, x: np.ndarray) -> np.ndarray:
     return x / norms[prob._coord_block]
 
 
-def _retract(prob: SpectralProblem, x: np.ndarray) -> np.ndarray:
-    c = float(_block_norms(prob, x).prod())
-    if c == 0.0:
-        raise ZeroNormBlock("retraction undefined when a block has zero norm")
-    return x / c ** (1.0 / prob.d)
-
-
 def norm_product(prob: SpectralProblem, x: BlockVector) -> float:
     """Product of the blockwise p-norms (the normalization constraint)."""
     conform(prob.partition, x)
@@ -298,9 +291,13 @@ def normalize_blocks(prob: SpectralProblem, x: BlockVector) -> BlockVector:
 
 
 def retract(prob: SpectralProblem, x: BlockVector) -> BlockVector:
-    """Rescale ``x`` by a single scalar onto the surface ``norm_product == 1``."""
+    """Rescale ``x`` by a single scalar onto the surface ``norm_product == 1``.
+    No solver calls it: their iterates are normalized blockwise."""
     conform(prob.partition, x)
-    return x._with_flat(_retract(prob, x.flat))
+    c = float(_block_norms(prob, x.flat).prod())
+    if c == 0.0:
+        raise ZeroNormBlock("retraction undefined when a block has zero norm")
+    return x._with_flat(x.flat / c ** (1.0 / prob.d))
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from specrad.errors import (
     SingularNewtonSystem,
     ZeroNormBlock,
 )
-from specrad.solvers import _bracket
 from specrad.spectral_maps import _block_norms
 
 from conftest import (
@@ -396,6 +395,42 @@ class TestNewtonNoda:
         assert sh[-1] / sh[0] > 1e-3
 
 
+class TestNormalizedIterates:
+    """Both methods iterate on blockwise-normalized points, from a start
+    whose blocks are each scaled by their max and then normalized, so a
+    trace row's ``lambda_k`` is the max ratio there: the certified upper
+    bound ``cw_lower * (1 + res)``, which Newton's Armijo test keeps from
+    rising."""
+
+    @pytest.mark.parametrize("method", ["lsnnm", "power"])
+    @pytest.mark.parametrize("e", [20, 60, 70, 77])
+    def test_start_blocks_far_apart_in_scale(self, ref_tensor, method, e):
+        # at e = 77 block 0's sum of x**4 overflows unless scaled first
+        prob = sr.make_problem(ref_tensor, SINGLETONS, ["4"] * 3)
+        x0 = sr.BlockVector([np.full(3, 10.0**e), np.ones(3), np.full(3, 10.0**-e)])
+        res = sr.solve(prob, x0, method=method)
+        ref = sr.solve(prob, method=method)
+        assert res.converged
+        assert abs(res.lambda_star - ref.lambda_star) <= 1e-12 * ref.lambda_star
+        if method == "lsnnm":
+            assert res.iterations <= 6
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(prob=block_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_newton_lambda_is_the_falling_upper_bound(self, prob, seed):
+        assume(sr.classify_regime(prob).regime is not sr.Regime.UNSUPPORTED)
+        part = prob.partition
+        x0 = sr.BlockVector.from_flat(
+            10 ** np.random.default_rng(seed).uniform(-2, 2, part.total_dim), part.block_dims)
+        res = sr.newton_noda(prob, x0)
+        assert res.converged
+        rows = res.trace
+        for rec in rows:
+            assert abs(rec.lambda_k - rec.cw_lower * (1.0 + rec.res)) <= 1e-14 * rec.lambda_k
+        for prev, now in zip(rows, rows[1:]):
+            assert now.lambda_k <= prev.lambda_k
+
+
 class TestScaleEquivariance:
     """lambda(c T) = c lambda(T), however large or small the entries get."""
 
@@ -477,8 +512,8 @@ COUNTED_NEWTON_PROBLEMS = [
 
 
 class TestGradientEvaluations:
-    """Each iterate evaluates its ratios once, and its certificate rescales
-    them per block; Newton also evaluates them at each trial point that its
+    """Each iterate evaluates its ratios once, and its certificate is read
+    off them; Newton also evaluates them at each trial point that its
     Armijo test rejects, and power at each Anderson candidate that its
     safeguard rejects."""
 
@@ -493,9 +528,9 @@ class TestGradientEvaluations:
         backtracks = sum(rec.backtracks for rec in res.trace)
         assert res.iterations + 1 <= len(calls) <= res.iterations + 1 + backtracks
 
-    @pytest.mark.parametrize("seed", [6, 8])
+    @pytest.mark.parametrize("seed", [8, 18])
     def test_newton_rejected_trials_cost_at_most_one_each(self, seed, calls):
-        # from these starts the critical 1;2,3 p=2,4 case backtracks 13 and 9 times
+        # from these starts the critical 1;2,3 p=2,4 case backtracks 1 and 2 times
         prob = sr.make_problem(sr.reference_tensor(), [[0], [1, 2]], ["2", "4"])
         x0 = sr.BlockVector.from_flat(10 ** np.random.default_rng(seed).uniform(-2, 2, 6), (3, 3))
         res = solve_quiet(prob, x0)
@@ -527,19 +562,19 @@ def count_calls(monkeypatch, name) -> list:
 
 
 class TestBlockNormEvaluations:
-    """Each iterate takes the block norms of its point once.  Newton also
-    takes those of each trial point it retracts; power takes those of each
-    point it evaluates before and after normalization, and from its second
-    step on those of the plain iterate that a candidate may replace."""
+    """Each iterate takes the block norms of its point once, in the certified
+    loop, and those of each point it normalizes: the start, Newton's trial
+    points (retracted onto the constraint set by blockwise normalization),
+    and power's plain iterates and Anderson candidates."""
 
     @pytest.mark.parametrize("case", sr.BENCH_CASES, ids=bench_case_id)
     def test_newton_once_per_iterate_and_retracted_trial(self, case, monkeypatch):
         norms = count_calls(monkeypatch, "_block_norms")
-        retractions = count_calls(monkeypatch, "_retract")
+        normalizations = count_calls(monkeypatch, "_normalize")
         res = solve_quiet(sr.make_problem(sr.reference_tensor(), case.blocks, case.p))
-        # the start's retraction and bracket, then per step its trials'
-        # retractions and the accepted point's bracket
-        trials = len(retractions) - 1
+        # the start's normalization and its norms, then per step its trials'
+        # normalizations and the accepted point's norms
+        trials = len(normalizations) - 1
         assert trials >= res.iterations
         assert len(norms) == 2 + res.iterations + trials
         if bench_case_id(case) == "1;2;3|p=3,3,3":
@@ -549,11 +584,10 @@ class TestBlockNormEvaluations:
     def test_power_twice_per_iterate(self, case, monkeypatch):
         norms = count_calls(monkeypatch, "_block_norms")
         res = solve_quiet(sr.make_problem(sr.reference_tensor(), case.blocks, case.p), method="power")
-        backtracks = sum(rec.backtracks for rec in res.trace)
-        # the start's 2 and the first (plain) step's 2, then 3 a step and 1
-        # more for each candidate evaluated and rejected
+        # the start's 2 and the first (plain) step's 2, then 3 a step: the
+        # plain iterate's normalization, the candidate's and the loop's
         assert res.iterations >= 1
-        assert len(norms) == 3 * res.iterations + 1 + backtracks
+        assert len(norms) == 3 * res.iterations + 1
         if bench_case_id(case) == "1;2;3|p=3,3,3":
             assert (res.iterations, len(norms)) == (16, 49)
 
@@ -712,12 +746,12 @@ BENCH_ITERATIONS = {
     "1,2,3|p=3": (4, 8),
     "1,2,3|p=4": (4, 6),
     "1,2,3|p=5": (4, 6),
-    "1;2,3|p=2,4": (8, 11),
-    "1;2,3|p=3,5": (6, 8),
+    "1;2,3|p=2,4": (7, 11),
+    "1;2,3|p=3,5": (5, 8),
     "1;2,3|p=4,6": (5, 8),
     "1;2;3|p=3,3,3": (5, 16),
     "1;2;3|p=4,4,4": (5, 12),
-    "1;2;3|p=5,5,5": (5, 11),
+    "1;2;3|p=5,5,5": (4, 11),
 }
 
 #: Iterations the plain power iteration took on the nine cases, one gradient
@@ -798,22 +832,21 @@ class TestCertifiedResidual:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(prob=block_problems(), data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_bracket_rescales_the_ratios_at_x(self, prob, data, seed):
-        # the gradient map's multihomogeneity: the ratios at the blockwise
-        # normalization are those at x times one factor per block
+        # the gradient map's multihomogeneity: block i of the ratios at the
+        # blockwise normalization, whose extremes are the bracket, is that at
+        # x times n_i**p_i / prod_l n_l**nu_l
         p = data.draw(st.lists(st.floats(1.2, 6.0), min_size=prob.d, max_size=prob.d))
         prob = sr.make_problem(prob.tensor, prob.partition.blocks, p)
         rng = np.random.default_rng(seed)
         factors = 10.0 ** rng.uniform(-3.0, 3.0, prob.d)
         x = sr.BlockVector([f * rng.uniform(0.1, 2.0, n)
                             for f, n in zip(factors, prob.partition.block_dims)])
-        norms, (xbar, hi, lo, res) = _bracket(prob, x.flat, sr.ratio_map(prob, x).flat)
-        assert np.array_equal(norms, _block_norms(prob, x.flat))
-        expected = sr.normalize_blocks(prob, x)
-        assert np.array_equal(xbar, expected.flat)
-        direct = sr.ratio_map(prob, expected).flat
+        n = np.array([np.linalg.norm(x.block(i), prob.p[i]) for i in range(prob.d)])
+        scale = n ** np.array(prob.p) / (n ** np.array(prob.partition.nu)).prod()
+        rescaled = sr.ratio_map(prob, x).flat * np.repeat(scale, prob.partition.block_dims)
+        direct = sr.ratio_map(prob, sr.normalize_blocks(prob, x)).flat
         # a zero ratio (zero-valued or no entries) has no slack at all
-        assert abs(hi - direct.max()) <= 1e-13 * direct.max()
-        assert abs(lo - direct.min()) <= 1e-13 * direct.min()
+        assert_allclose(rescaled, direct, rtol=1e-13, atol=0.0)
 
     def test_underflowing_block_norm_raises(self, ref_tensor):
         # 1e-100**4 underflows, so the block's norm is 0
